@@ -7,7 +7,7 @@ from .dataset import (DataError, Dataset, PriceGrid, SaleHistory, explicit_grid,
 from .teacher import (GbtConfig, GradientBoostedTeacher, OracleTeacher,
                       RevenueMatrix, TableTeacher, TeacherGridPolicy,
                       TeacherModel, auc, fit_gbt, load_table_teacher,
-                      revenue_matrix)
+                      probability_matrix, revenue_matrix)
 from .spt import (FitConfig, PolicyTree, SplitCandidate, best_split,
                   export_tree, fit_spt, leaf_revenue, predict_price,
                   single_leaf_tree, training_revenue, tree_from_json)

@@ -11,8 +11,9 @@ import numpy as np
 from .dataset import DataError, Dataset, PriceGrid
 from .rng import CounterRng
 from .spt import (FitConfig, PolicyTree, SplitNode, best_split_generic,
-                  grow_tree, leaf_revenue, single_leaf_tree)
-from .teacher import RevenueMatrix, TeacherModel
+                  grow_tree, json_field, leaf_revenue, nodes_from_json,
+                  single_leaf_tree)
+from .teacher import RevenueMatrix, TeacherModel, probability_matrix
 
 
 @dataclass(frozen=True)
@@ -108,17 +109,20 @@ def fit_pt(data: Dataset, grid: PriceGrid, assign: TreatmentAssignment,
 def teacher_probability_targets(teacher: TeacherModel, features,
                                 grid: PriceGrid) -> np.ndarray:
     """The naive student's regression target: f(x_i, p_k) over the grid."""
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return np.column_stack(
-        [teacher.predict_proba_batch(X, float(p)) for p in grid.prices])
+    return probability_matrix(teacher, features, grid)
 
 
 def fit_naive_distill(teacher: TeacherModel, features, grid: PriceGrid,
-                      config: FitConfig, feature_names=None) -> PolicyTree:
+                      config: FitConfig, feature_names=None,
+                      targets=None) -> PolicyTree:
     """Distill-then-optimize: regress the teacher's probability vector with a
-    multi-output MSE tree, then price each leaf by its mean predicted demand."""
+    multi-output MSE tree, then price each leaf by its mean predicted demand.
+
+    ``targets`` may pass the teacher's n x m probability matrix when the
+    caller already has it; otherwise the teacher is queried over the grid."""
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    targets = teacher_probability_targets(teacher, X, grid)
+    if targets is None:
+        targets = probability_matrix(teacher, X, grid)
     return grow_tree(X, _MultiOutputMseCriterion(targets, grid), config,
                      feature_names, grid.prices)
 
@@ -165,7 +169,7 @@ class EffectTree:
     nodes: list
     root: int
 
-    def treated_means(self, X: np.ndarray) -> np.ndarray:
+    def _leaf_values(self, X: np.ndarray, attr: str) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.empty(X.shape[0])
         stack = [(self.root, np.arange(X.shape[0]))]
@@ -175,29 +179,22 @@ class EffectTree:
                 continue
             node = self.nodes[nid]
             if isinstance(node, EffectLeaf):
-                out[idx] = node.treated_mean
+                out[idx] = getattr(node, attr)
                 continue
+            if node.feature >= X.shape[1]:
+                raise ValueError(
+                    f"feature matrix of dim {X.shape[1]} too narrow for split on "
+                    f"feature {node.feature}")
             go_left = X[idx, node.feature] <= node.threshold
             stack.append((node.left, idx[go_left]))
             stack.append((node.right, idx[~go_left]))
         return out
 
+    def treated_means(self, X: np.ndarray) -> np.ndarray:
+        return self._leaf_values(X, "treated_mean")
+
     def effects(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty(X.shape[0])
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            nid, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            node = self.nodes[nid]
-            if isinstance(node, EffectLeaf):
-                out[idx] = node.effect
-                continue
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        return self._leaf_values(X, "effect")
 
 
 class _EffectVarianceCriterion:
@@ -329,18 +326,19 @@ def export_one_vs_all(policy: OneVsAllPolicy) -> str:
 
 
 def one_vs_all_from_json(text: str) -> OneVsAllPolicy:
+    """Inverse of export_one_vs_all; malformed input raises a DataError."""
     doc = json.loads(text)
-    grid = PriceGrid(np.asarray(doc["price_grid"], dtype=np.float64))
-    trees = []
-    for td in doc["trees"]:
-        nodes: list = [None] * len(td["nodes"])
-        for nd in td["nodes"]:
-            if nd["kind"] == "split":
-                nodes[nd["id"]] = SplitNode(int(nd["feature"]), float(nd["threshold"]),
-                                            int(nd["left"]), int(nd["right"]))
-            else:
-                nodes[nd["id"]] = EffectLeaf(float(nd["effect"]),
-                                             float(nd["treated_mean"]),
-                                             int(nd["n_est"]))
-        trees.append(EffectTree(nodes, int(td["root"])))
+    grid = json_field(doc, "price_grid", "policy", PriceGrid)
+    docs = json_field(doc, "trees", "policy")
+    if not isinstance(docs, list) or len(docs) != grid.m:
+        raise DataError(f"policy: 'trees' must list one tree per grid price "
+                        f"({grid.m})")
+
+    def leaf(nd, at):
+        return EffectLeaf(json_field(nd, "effect", at, float),
+                          json_field(nd, "treated_mean", at, float),
+                          json_field(nd, "n_est", at, int))
+
+    trees = [EffectTree(*nodes_from_json(td, leaf, f"policy tree {t}"))
+             for t, td in enumerate(docs)]
     return OneVsAllPolicy(trees, grid)

@@ -17,9 +17,10 @@ import numpy as np
 from . import baselines, experiments, synth
 from .dataset import (DataError, explicit_grid, load_csv, percentile_grid,
                       write_csv)
-from .spt import FitConfig, export_tree, fit_spt, training_revenue, tree_from_json
+from .spt import (EmptyLeafError, FitConfig, export_tree, fit_spt,
+                  training_revenue, tree_from_json)
 from .teacher import (GbtConfig, TableTeacher, fit_gbt, load_table_teacher,
-                      revenue_matrix, RevenueMatrix)
+                      probability_matrix, revenue_matrix)
 
 
 def _parse_gbt_config(text: str, seed: int) -> GbtConfig:
@@ -82,24 +83,28 @@ def cmd_fit(args) -> int:
              "depth": args.depth, "minsplit": args.minsplit, "seed": args.seed,
              "teacher": args.teacher}
 
-    def tree_revmat():
+    def teacher_probs():
+        """The teacher and its probabilities P[i, k] = f(x_i, p_k)."""
         teacher = _make_teacher(args.teacher, data, grid, args.seed)
         if isinstance(teacher, TableTeacher):
-            return teacher, RevenueMatrix(teacher.probs * grid.prices[None, :], grid)
-        return teacher, revenue_matrix(teacher, data.features, grid)
+            return teacher, teacher.probs
+        return teacher, probability_matrix(teacher, data.features, grid)
 
     if args.method == "spt":
-        _, revmat = tree_revmat()
+        teacher, probs = teacher_probs()
+        revmat = revenue_matrix(teacher, data.features, grid, probs)
         tree = fit_spt(data.features, revmat, config, data.feature_names)
     elif args.method == "pt":
         assign = baselines.assign_treatments(data.prices, grid)
         tree = baselines.fit_pt(data, grid, assign, config)
     elif args.method == "naive":
-        teacher, _ = tree_revmat()
+        teacher, probs = teacher_probs()
         tree = baselines.fit_naive_distill(teacher, data.features, grid,
-                                           config, data.feature_names)
+                                           config, data.feature_names,
+                                           targets=probs)
     elif args.method == "const":
-        _, revmat = tree_revmat()
+        teacher, probs = teacher_probs()
+        revmat = revenue_matrix(teacher, data.features, grid, probs)
         tree = baselines.constant_price_policy(revmat)
     elif args.method == "ct":
         assign = baselines.assign_treatments(data.prices, grid)
@@ -124,12 +129,19 @@ def cmd_fit(args) -> int:
 
 
 def _load_policy(path):
+    """A policy file as (policy, parsed JSON); bad files raise a DataError
+    naming the path."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    doc = json.loads(text)
-    if "trees" in doc:
-        return baselines.one_vs_all_from_json(text), doc
-    return tree_from_json(text), doc
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise DataError("policy file must hold a JSON object")
+        if "trees" in doc:
+            return baselines.one_vs_all_from_json(text), doc
+        return tree_from_json(text), doc
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_evaluate(args) -> int:
@@ -202,11 +214,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_export(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    tree, doc = _load_policy(args.tree)
     if "trees" in doc:
         raise DataError("export works on single-tree files, not one-vs-all policies")
-    tree = tree_from_json(json.dumps(doc))
     text = export_tree(tree, args.format)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(text)
@@ -272,7 +282,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, experiments.PlanError, ValueError, OSError) as exc:
+    except (DataError, experiments.PlanError, ValueError, OSError,
+            EmptyLeafError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

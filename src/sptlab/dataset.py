@@ -179,7 +179,10 @@ def load_sale_history(path) -> SaleHistory:
     """Load a sale history CSV with columns timestamp, store_id, price."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        header = [h.strip() for h in next(reader)]
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: empty sale history file") from None
         for col in ("timestamp", "store_id", "price"):
             if col not in header:
                 raise DataError(f"{path}: missing required column '{col}'")

@@ -13,11 +13,12 @@ from importlib import resources
 import numpy as np
 
 from . import baselines, synth
-from .dataset import percentile_grid, split_halves
+from .dataset import Dataset, PriceGrid, percentile_grid, split_halves
 from .evaluation import expected_revenue
 from .rng import derive_seed
 from .spt import FitConfig, fit_spt
-from .teacher import GbtConfig, TeacherGridPolicy, fit_gbt, revenue_matrix
+from .teacher import (GbtConfig, RevenueMatrix, TeacherGridPolicy, TeacherModel,
+                      fit_gbt, probability_matrix, revenue_matrix)
 
 POLICY_NAMES = ("spt", "pt", "ct", "naive", "teacher", "const", "optimal",
                 "no_change")
@@ -135,18 +136,34 @@ def _fit_config(depth, minsplit) -> FitConfig:
     return FitConfig(max_depth=depth, minsplit=2, min_leaf=1)
 
 
-def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
-             depth=None, minsplit=None) -> list[dict]:
-    """One replication: generate, fit every requested policy, score on fresh
-    draws; returns one result row per policy."""
+@dataclass(frozen=True)
+class CellInputs:
+    """What every cell of one (spec, n_train, seed) shares, whatever its
+    depth or minsplit: the data, the truth, the grid, the fitted teacher and
+    its probabilities P[i, k] = f(x_i, p_k) on the learning rows."""
+
+    spec: synth.SyntheticSpec
+    learn: Dataset
+    test: Dataset
+    truth: TeacherModel
+    grid: PriceGrid
+    assign: baselines.TreatmentAssignment
+    teacher: TeacherModel
+    probs: np.ndarray | None
+    revmat: RevenueMatrix | None
+
+
+def prepare_cell_inputs(plan: ExperimentPlan, spec_id: int, n: int,
+                        seed: int) -> CellInputs:
+    """Generate the data and fit the truth and teacher for one (spec, n, seed);
+    the teacher is queried over the grid once, only if a policy needs it."""
     spec = synth.make_spec(spec_id, seed)
     data = synth.generate(spec, n, seed)
     test = synth.generate(spec, plan.n_test, derive_seed(seed, _SALT_TEST))
 
     if plan.truth == "evaluator":
-        eval_half, learn_half = split_halves(data, derive_seed(seed, _SALT_HALVES))
+        eval_half, learn = split_halves(data, derive_seed(seed, _SALT_HALVES))
         truth = fit_gbt(eval_half, plan.gbt)
-        learn = learn_half
     else:
         truth = synth.oracle_teacher(spec)
         learn = data
@@ -154,44 +171,62 @@ def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
     grid = percentile_grid(learn.prices)
     teacher_model = (synth.oracle_teacher(spec) if plan.teacher == "oracle"
                      else fit_gbt(learn, plan.gbt))
+    probs = revmat = None
+    if any(p in plan.policies for p in ("spt", "naive", "const")):
+        probs = probability_matrix(teacher_model, learn.features, grid)
+        revmat = revenue_matrix(teacher_model, learn.features, grid, probs)
+    return CellInputs(spec, learn, test, truth, grid,
+                      baselines.assign_treatments(learn.prices, grid),
+                      teacher_model, probs, revmat)
+
+
+def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
+             depth=None, minsplit=None, *,
+             inputs: CellInputs | None = None) -> list[dict]:
+    """One replication at one depth or minsplit: fit every requested policy
+    and score it on fresh draws; returns one result row per policy.
+
+    ``inputs`` are the cell's ``prepare_cell_inputs(plan, spec_id, n, seed)``,
+    which a sweep builds once and shares across its knob values; without
+    them the cell builds its own, with identical results."""
+    if inputs is None:
+        inputs = prepare_cell_inputs(plan, spec_id, n, seed)
+    learn, test, truth, grid = inputs.learn, inputs.test, inputs.truth, inputs.grid
     config = _fit_config(depth, minsplit)
-    needs_revmat = any(p in plan.policies for p in ("spt", "teacher", "const"))
-    revmat = revenue_matrix(teacher_model, learn.features, grid) if needs_revmat else None
 
     rows = []
     for name in plan.policies:
         n_leaves = 0
         if name == "spt":
-            tree = fit_spt(learn.features, revmat, config, learn.feature_names)
+            tree = fit_spt(learn.features, inputs.revmat, config, learn.feature_names)
             rev = expected_revenue(tree, test.features, truth)
             n_leaves = tree.n_leaves
         elif name == "pt":
-            assign = baselines.assign_treatments(learn.prices, grid)
-            tree = baselines.fit_pt(learn, grid, assign, config)
+            tree = baselines.fit_pt(learn, grid, inputs.assign, config)
             rev = expected_revenue(tree, test.features, truth)
             n_leaves = tree.n_leaves
         elif name == "ct":
-            assign = baselines.assign_treatments(learn.prices, grid)
-            policy = baselines.fit_ct_one_vs_all(learn, grid, assign, config,
+            policy = baselines.fit_ct_one_vs_all(learn, grid, inputs.assign, config,
                                                  derive_seed(seed, _SALT_CT))
             rev = expected_revenue(policy, test.features, truth)
             n_leaves = policy.n_leaves_mean
         elif name == "naive":
-            tree = baselines.fit_naive_distill(teacher_model, learn.features,
-                                               grid, config, learn.feature_names)
+            tree = baselines.fit_naive_distill(inputs.teacher, learn.features,
+                                               grid, config, learn.feature_names,
+                                               targets=inputs.probs)
             rev = expected_revenue(tree, test.features, truth)
             n_leaves = tree.n_leaves
         elif name == "teacher":
-            rev = expected_revenue(TeacherGridPolicy(teacher_model, grid),
+            rev = expected_revenue(TeacherGridPolicy(inputs.teacher, grid),
                                    test.features, truth)
         elif name == "const":
-            tree = baselines.constant_price_policy(revmat)
+            tree = baselines.constant_price_policy(inputs.revmat)
             rev = expected_revenue(tree, test.features, truth)
             n_leaves = 1
         elif name == "optimal":
             fine = synth.fine_price_grid(float(grid.prices[0]),
                                          float(grid.prices[-1]), 1000)
-            rev = expected_revenue(synth.OraclePolicy(spec, fine),
+            rev = expected_revenue(synth.OraclePolicy(inputs.spec, fine),
                                    test.features, truth)
         elif name == "no_change":
             rev = baselines.historical_policy_revenue(test, truth)
@@ -204,28 +239,34 @@ def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
     return rows
 
 
-def _cells(plan: ExperimentPlan):
-    knobs = ([("depth", d) for d in plan.depths] if plan.depths is not None
-             else [("minsplit", ms) for ms in plan.minsplits])
-    for spec_id in plan.specs:
-        for n in plan.n_train:
-            for kind, value in knobs:
-                for seed in plan.seeds:
-                    yield (spec_id, n, seed,
-                           value if kind == "depth" else None,
-                           value if kind == "minsplit" else None)
+def _cell_groups(plan: ExperimentPlan) -> list[list[tuple]]:
+    """The plan's cells (spec, n, seed, depth, minsplit), grouped by
+    (spec, n, seed) so each group shares one ``CellInputs``."""
+    knobs = ([(d, None) for d in plan.depths] if plan.depths is not None
+             else [(None, ms) for ms in plan.minsplits])
+    return [[(spec_id, n, seed, depth, minsplit) for depth, minsplit in knobs]
+            for spec_id in plan.specs for n in plan.n_train for seed in plan.seeds]
+
+
+def _run_group(plan: ExperimentPlan, cells: list[tuple]) -> list[dict]:
+    inputs = prepare_cell_inputs(plan, *cells[0][:3])
+    return [row for cell in cells for row in run_cell(plan, *cell, inputs=inputs)]
 
 
 def run_experiment(plan: ExperimentPlan) -> list[dict]:
     """Run every cell of the plan; rows come back sorted by key so output is
-    independent of scheduling. Worker count is capped by SPTLAB_THREADS."""
-    cells = list(_cells(plan))
+    independent of scheduling.
+
+    Cells are grouped by (spec, n_train, seed): each group generates its data
+    and fits its teacher once, then runs ``run_cell`` for each depth or
+    minsplit. Up to SPTLAB_THREADS groups run at a time."""
+    groups = _cell_groups(plan)
     workers = max(1, int(os.environ.get("SPTLAB_THREADS", "1")))
     if workers == 1:
-        nested = [run_cell(plan, *cell) for cell in cells]
+        nested = [_run_group(plan, cells) for cells in groups]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(lambda c: run_cell(plan, *c), cells))
+            nested = list(pool.map(lambda cells: _run_group(plan, cells), groups))
     rows = [row for group in nested for row in group]
     rows.sort(key=lambda r: (r["spec"], r["policy"], r["depth"], r["minsplit"],
                              r["n_train"], r["seed"]))
@@ -241,8 +282,9 @@ def aggregate(rows: list[dict], pool_depths: bool = False) -> list[EvaluationRep
                None if pool_depths else r["minsplit"], r["n_train"])
         groups.setdefault(key, []).append(r)
     reports = []
+    # typed sort (2000 before 10000); pooled (None) knobs first
     for (spec, policy, depth, minsplit, n_train), grp in sorted(
-            groups.items(), key=lambda kv: tuple(str(x) for x in kv[0])):
+            groups.items(), key=lambda kv: tuple((x is not None, x) for x in kv[0])):
         revs = np.asarray([g["mean_revenue"] for g in grp])
         se = float(revs.std(ddof=1) / np.sqrt(revs.size)) if revs.size > 1 else 0.0
         reports.append(EvaluationReport(

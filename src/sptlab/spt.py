@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DataError
 from .teacher import RevenueMatrix
 
 
@@ -140,19 +141,23 @@ class PolicyTree:
         return out
 
     def validate(self) -> None:
-        """Check proper binary structure: acyclic, all nodes reachable once."""
-        seen = set()
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                raise ValueError("tree has a repeated/reachable-twice node")
-            seen.add(nid)
-            node = self.nodes[nid]
-            if isinstance(node, SplitNode):
-                stack.extend((node.left, node.right))
-        if len(seen) != len(self.nodes):
-            raise ValueError("tree has unreachable nodes")
+        check_structure(self.nodes, self.root)
+
+
+def check_structure(nodes, root) -> None:
+    """Check proper binary structure: acyclic, all nodes reachable once."""
+    seen = set()
+    stack = [root]
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            raise DataError("tree has a repeated/reachable-twice node")
+        seen.add(nid)
+        node = nodes[nid]
+        if isinstance(node, SplitNode):
+            stack.extend((node.left, node.right))
+    if len(seen) != len(nodes):
+        raise DataError("tree has unreachable nodes")
 
 
 class _RevenueCriterion:
@@ -325,24 +330,82 @@ def export_tree(tree: PolicyTree, format: str = "json") -> str:
     raise ValueError(f"unknown export format {format!r}")
 
 
+def _float_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
+def json_field(doc, key: str, where: str, kind=None):
+    """``doc[key]``, converted by ``kind`` when given; a DataError naming
+    ``where`` if the key is missing or its value does not convert."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise DataError(f"{where}: missing key {key!r}")
+    if kind is None:
+        return doc[key]
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError):
+        raise DataError(f"{where}: bad {key!r} value {doc[key]!r}") from None
+
+
+def nodes_from_json(doc, make_leaf, where: str, n_features: int | None = None):
+    """Decode the ``nodes`` list and ``root`` of one serialized tree.
+
+    ``make_leaf(nd, at)`` builds a leaf from its dict. Raises DataError
+    naming the node for a missing key, an id, child or root outside the node
+    list, a repeated id, or a split feature at or past ``n_features``, and
+    naming the tree if it is not a proper binary tree.
+    """
+    raw = json_field(doc, "nodes", where)
+    root = json_field(doc, "root", where, int)
+    if not isinstance(raw, list):
+        raise DataError(f"{where}: 'nodes' must be a list")
+    n = len(raw)
+    nodes: list = [None] * n
+    for pos, nd in enumerate(raw):
+        at = f"{where} node {pos}"
+        nid = json_field(nd, "id", at, int)
+        if not 0 <= nid < n or nodes[nid] is not None:
+            raise DataError(f"{at}: id {nid} is repeated or outside 0..{n - 1}")
+        kind = json_field(nd, "kind", at)
+        if kind == "split":
+            node = SplitNode(json_field(nd, "feature", at, int),
+                             json_field(nd, "threshold", at, float),
+                             json_field(nd, "left", at, int),
+                             json_field(nd, "right", at, int))
+            for child in (node.left, node.right):
+                if not 0 <= child < n:
+                    raise DataError(f"{at}: child id {child} outside 0..{n - 1}")
+            if node.feature < 0 or (n_features is not None
+                                    and node.feature >= n_features):
+                known = "" if n_features is None else f" for {n_features} feature names"
+                raise DataError(f"{at}: split feature {node.feature} out of range{known}")
+        elif kind == "leaf":
+            node = make_leaf(nd, at)
+        else:
+            raise DataError(f"{at}: unknown node kind {kind!r}")
+        nodes[nid] = node
+    if not 0 <= root < n:
+        raise DataError(f"{where}: root id {root} outside 0..{n - 1}")
+    try:
+        check_structure(nodes, root)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    return nodes, root
+
+
 def tree_from_json(text: str) -> PolicyTree:
     """Inverse of export_tree(..., 'json')."""
     doc = json.loads(text)
-    nodes: list = [None] * len(doc["nodes"])
-    for nd in doc["nodes"]:
-        if nd["kind"] == "split":
-            nodes[nd["id"]] = SplitNode(int(nd["feature"]), float(nd["threshold"]),
-                                        int(nd["left"]), int(nd["right"]))
-        elif nd["kind"] == "leaf":
-            nodes[nd["id"]] = LeafNode(float(nd["price"]), float(nd["revenue_sum"]),
-                                       int(nd["n_train"]))
-        else:
-            raise ValueError(f"unknown node kind {nd['kind']!r}")
-    depth = _tree_depth(nodes, int(doc["root"]))
-    tree = PolicyTree(nodes, int(doc["root"]), tuple(doc["feature_names"]),
-                      np.asarray(doc["price_grid"], dtype=np.float64), depth)
-    tree.validate()
-    return tree
+    names = json_field(doc, "feature_names", "tree", tuple)
+    grid = json_field(doc, "price_grid", "tree", _float_array)
+
+    def leaf(nd, at):
+        return LeafNode(json_field(nd, "price", at, float),
+                        json_field(nd, "revenue_sum", at, float),
+                        json_field(nd, "n_train", at, int))
+
+    nodes, root = nodes_from_json(doc, leaf, "tree", len(names))
+    return PolicyTree(nodes, root, names, grid, _tree_depth(nodes, root))
 
 
 def _tree_depth(nodes, root) -> int:

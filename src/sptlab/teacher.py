@@ -170,13 +170,47 @@ def fit_gbt(train: Dataset, config: GbtConfig = GbtConfig()) -> GradientBoostedT
     return GradientBoostedTeacher(booster, config)
 
 
-def revenue_matrix(model: TeacherModel, features: np.ndarray,
-                   grid: PriceGrid) -> RevenueMatrix:
-    """Evaluate r[i, k] = p_k * f(x_i, p_k) over the whole grid."""
+# Rows per stacked boosted-teacher pass. Stacking amortizes the per-node
+# Python work of Tree.predict; past ~100k rows (d=20) the stacked pass is
+# slower than per-price columns and its transient copy of X grows with n.
+_STACKED_ROWS = 50_000
+
+
+def probability_matrix(model: TeacherModel, features: np.ndarray,
+                       grid: PriceGrid) -> np.ndarray:
+    """P[i, k] = f(x_i, p_k) over the whole grid, C-contiguous n x m.
+
+    The boosted teacher predicts the (row, price) pairs of several prices in
+    one stacked pass of up to ``_STACKED_ROWS`` rows; each pair's prediction
+    is computed independently, so the bits match the per-price columns.
+    Other teachers are queried one price at a time, since numpy does not
+    promise identical bits for transcendental ufuncs evaluated over a
+    broadcast array.
+    """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    cols = [grid.prices[k] * model.predict_proba_batch(X, float(grid.prices[k]))
-            for k in range(grid.m)]
-    return RevenueMatrix(np.column_stack(cols), grid)
+    if isinstance(model, GradientBoostedTeacher):
+        n = X.shape[0]
+        step = max(1, _STACKED_ROWS // max(n, 1))
+        blocks = []
+        for lo in range(0, grid.m, step):
+            prices = grid.prices[lo:lo + step]
+            flat = model.predict_proba_batch(np.tile(X, (prices.size, 1)),
+                                             np.repeat(prices, n))
+            blocks.append(flat.reshape(prices.size, n))
+        return np.ascontiguousarray(np.concatenate(blocks).T)
+    return np.column_stack(
+        [model.predict_proba_batch(X, float(p)) for p in grid.prices])
+
+
+def revenue_matrix(model: TeacherModel, features: np.ndarray,
+                   grid: PriceGrid, probs=None) -> RevenueMatrix:
+    """Evaluate r[i, k] = p_k * f(x_i, p_k) over the whole grid.
+
+    ``probs`` may pass ``probability_matrix(model, features, grid)`` when the
+    caller already has it; the model is then not queried again."""
+    if probs is None:
+        probs = probability_matrix(model, features, grid)
+    return RevenueMatrix(grid.prices * probs, grid)
 
 
 def auc(model: TeacherModel, test: Dataset) -> float:

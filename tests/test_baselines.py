@@ -7,7 +7,7 @@ from sptlab.baselines import (OneVsAllPolicy, assign_treatments,
                               historical_policy_revenue, naive_training_mse,
                               one_vs_all_from_json, teacher_probability_targets)
 from sptlab.dataset import DataError, Dataset, PriceGrid
-from sptlab.spt import FitConfig, LeafNode
+from sptlab.spt import FitConfig, LeafNode, export_tree
 from sptlab.synth import generate, make_spec
 from sptlab.teacher import OracleTeacher, RevenueMatrix, fit_gbt, GbtConfig
 
@@ -203,6 +203,19 @@ def test_naive_leaf_prices_in_grid_and_mse_monotone():
         assert prices <= set(grid.prices.tolist())
         mses.append(naive_training_mse(tree, data.features, targets))
     assert all(b <= a + 1e-12 for a, b in zip(mses, mses[1:]))
+
+
+def test_naive_precomputed_targets_give_identical_tree():
+    data = generate(make_spec(4), 600, 2)
+    grid = PriceGrid(np.percentile(data.prices, [20, 50, 80]))
+    teacher = fit_gbt(data, GbtConfig(rounds=6))
+    config = FitConfig(max_depth=None, minsplit=30, min_leaf=10)
+    queried = fit_naive_distill(teacher, data.features, grid, config,
+                                data.feature_names)
+    targets = teacher_probability_targets(teacher, data.features, grid)
+    given = fit_naive_distill(teacher, data.features, grid, config,
+                              data.feature_names, targets=targets)
+    assert export_tree(given, "json") == export_tree(queried, "json")
 
 
 def test_naive_recovers_segment_prices():

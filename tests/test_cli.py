@@ -228,3 +228,69 @@ def test_experiment_bad_plan(tmp_path, capsys):
     assert run_cli("experiment", "--plan", str(plan),
                    "--out-dir", str(tmp_path / "o")) == 1
     assert "error" in capsys.readouterr().err
+
+
+def split_tree_doc(**split):
+    """A one-split tree on feature x0 as a JSON-ready dict."""
+    node = {"id": 0, "kind": "split", "feature": 0, "threshold": 0.5,
+            "left": 1, "right": 2}
+    node.update(split)
+    leaves = [{"id": i, "kind": "leaf", "price": 10.0, "revenue_sum": 0.0,
+               "n_train": 1} for i in (1, 2)]
+    return {"feature_names": ["x0"], "price_grid": [10.0, 12.0],
+            "nodes": [node] + leaves, "root": 0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "missing key 'feature_names'"),
+    ({"feature_names": [], "price_grid": []}, "missing key 'nodes'"),
+    (split_tree_doc(right=7), "tree node 0: child id 7 outside 0..2"),
+    (split_tree_doc(feature=1), "tree node 0: split feature 1 out of range for 1 feature names"),
+    (split_tree_doc(left=0), "tree: tree has a repeated"),
+    ({**split_tree_doc(), "root": 3}, "tree: root id 3 outside"),
+    ([], "policy file must hold a JSON object"),
+])
+def test_export_malformed_tree_is_located_error(tmp_path, capsys, doc, message):
+    tree = tmp_path / "bad.json"
+    tree.write_text(json.dumps(doc))
+    assert run_cli("export", "--tree", str(tree), "--format", "dot",
+                   "--out", str(tmp_path / "t.dot")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tree}: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_malformed_one_vs_all_is_located_error(tmp_path, capsys):
+    data, _, truth = write_toy_files(tmp_path)
+    policy = tmp_path / "ct.json"
+    leaf = {"id": 0, "kind": "leaf", "effect": 0.0, "treated_mean": 1.0}
+    policy.write_text(json.dumps({"price_grid": [10.0],
+                                  "trees": [{"nodes": [leaf], "root": 0}]}))
+    assert run_cli("evaluate", "--tree", str(policy), "--data", str(data),
+                   "--truth", f"table:{truth}") == 1
+    err = capsys.readouterr().err
+    assert "policy tree 0 node 0: missing key 'n_est'" in err
+
+
+def test_evaluate_unpriced_leaf_reports_error(tmp_path, capsys):
+    data, tree, truth = write_toy_files(tmp_path)
+    tree.write_text(export_tree(single_leaf_tree(float("nan"), 0.0, 0,
+                                                 [10.0, 12.0]), "json"))
+    assert run_cli("evaluate", "--tree", str(tree), "--data", str(data),
+                   "--truth", f"table:{truth}") == 1
+    assert "unpriced (empty) leaf" in capsys.readouterr().err
+
+
+def test_fit_naive_with_table_teacher_uses_rows_not_features(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,price,sold\n5.0,0.0,10.0,1\n7.0,1.0,12.0,1\n")
+    table = tmp_path / "t.csv"
+    table.write_text("1.0,0.0\n1.0,1.0\n")  # row 0 buys only at 10
+    out = tmp_path / "naive.json"
+    assert run_cli("fit", "--data", str(data), "--method", "naive",
+                   "--teacher", f"table:{table}", "--grid", "explicit:10,12",
+                   "--depth", "1", "--out", str(out)) == 0
+    tree = tree_from_json(out.read_text())
+    assert tree.predict_price([5.0, 0.0]) == 10.0
+    assert tree.predict_price([7.0, 1.0]) == 12.0

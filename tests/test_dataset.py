@@ -249,6 +249,13 @@ def test_sale_history_csv(tmp_path):
     assert impute_last_at_store(h, 9) == 2.69
 
 
+def test_sale_history_csv_empty_file(tmp_path):
+    f = tmp_path / "h.csv"
+    f.write_text("")
+    with pytest.raises(DataError, match="empty sale history file"):
+        load_sale_history(f)
+
+
 def test_sale_history_timestamps_monotone():
     with pytest.raises(DataError):
         make_history([(3, 1, 2.0), (1, 1, 2.0)])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from sptlab import experiments
 from sptlab.experiments import (ExperimentPlan, PlanError,
                                 aggregate, load_plan, plan_from_dict,
-                                read_results_csv, run_experiment,
+                                read_results_csv, run_cell, run_experiment,
                                 write_results_csv)
 from sptlab.teacher import GbtConfig
 
@@ -109,6 +110,83 @@ def test_run_experiment_minsplit_mode():
     leaves = {(r["minsplit"], r["seed"]): r["n_leaves"] for r in rows}
     for seed in (0, 1):
         assert leaves[(150, seed)] <= leaves[(50, seed)]
+
+
+def count_gbt_fits(monkeypatch):
+    calls = []
+    fit = experiments.fit_gbt
+
+    def counted(train, config):
+        calls.append(train.n)
+        return fit(train, config)
+
+    monkeypatch.setattr(experiments, "fit_gbt", counted)
+    return calls
+
+
+def rows_cell_by_cell(plan):
+    """Every cell run on its own, sharing nothing with the others."""
+    rows = []
+    for spec in plan.specs:
+        for n in plan.n_train:
+            for ms in plan.minsplits:
+                for seed in plan.seeds:
+                    rows += run_cell(plan, spec, n, seed, None, ms)
+    rows.sort(key=lambda r: (r["spec"], r["policy"], r["depth"], r["minsplit"],
+                             r["n_train"], r["seed"]))
+    return rows
+
+
+SWEEP_POLICIES = ("spt", "pt", "naive", "teacher", "const", "optimal")
+
+
+def test_sweep_fits_each_gbt_teacher_once(monkeypatch):
+    plan = tiny_plan(specs=(2, 4), n_train=(300,), depths=None,
+                     minsplits=(30, 90, 270), teacher="gbt",
+                     policies=SWEEP_POLICIES, gbt=GbtConfig(**FAST_GBT))
+    calls = count_gbt_fits(monkeypatch)
+    rows = run_experiment(plan)
+    assert len(calls) == 2 * 2  # one per (spec, n, seed), not per minsplit
+    calls.clear()
+    assert rows == rows_cell_by_cell(plan)
+    assert len(calls) == 2 * 2 * 3
+
+
+def test_sweep_evaluator_truth_fitted_once(monkeypatch):
+    plan = tiny_plan(specs=(4,), n_train=(300,), depths=None,
+                     minsplits=(30, 90), teacher="gbt", truth="evaluator",
+                     policies=SWEEP_POLICIES + ("no_change",),
+                     gbt=GbtConfig(**FAST_GBT))
+    calls = count_gbt_fits(monkeypatch)
+    rows = run_experiment(plan)
+    assert calls == [150, 150] * 2  # evaluator and teacher halves, per seed
+    assert rows == rows_cell_by_cell(plan)
+
+
+def test_sweep_calls_run_cell_once_per_cell(monkeypatch):
+    plan = tiny_plan(depths=(1, 2), policies=("spt",))
+    seen = []
+    original = experiments.run_cell
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_cell", spy)
+    monkeypatch.setenv("SPTLAB_THREADS", "2")
+    run_experiment(plan)
+    assert sorted(a[1:] for a in seen) == [(1, 400, seed, depth, None)
+                                          for seed in (0, 1) for depth in (1, 2)]
+    assert all(a[0] is plan for a in seen)
+
+
+def test_aggregate_orders_n_train_numerically():
+    rows = [{"spec": 1, "policy": "spt", "depth": 3, "minsplit": 2,
+             "n_train": n, "seed": 0, "mean_revenue": 1.0, "n_leaves": 4}
+            for n in (10000, 2000)]
+    assert [r.n_train for r in aggregate(rows)] == [2000, 10000]
+    pooled = aggregate(rows, pool_depths=True)
+    assert [(r.depth, r.n_train) for r in pooled] == [(None, 2000), (None, 10000)]
 
 
 def test_aggregate_math():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sptlab import teacher as teacher_module
 from sptlab.dataset import DataError, Dataset, PriceGrid
 from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import (GbtConfig, GradientBoostedTeacher, OracleTeacher,
                             RevenueMatrix, auc, fit_gbt, load_table_teacher,
-                            revenue_matrix)
+                            probability_matrix, revenue_matrix)
 
 
 def erf_cdf(z):
@@ -162,6 +163,34 @@ def test_revenue_matrix_recomputation_bit_identical():
     a = revenue_matrix(model, data.features, grid)
     b = revenue_matrix(model, data.features, grid)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("stacked_rows", [None, 800, 1])
+def test_probability_matrix_stacked_gbt_pass_matches_per_price_columns(
+        monkeypatch, stacked_rows):
+    if stacked_rows is not None:  # 2 prices per pass, then one per pass
+        monkeypatch.setattr(teacher_module, "_STACKED_ROWS", stacked_rows)
+    data = generate(make_spec(2), 400, 5)
+    grid = PriceGrid(np.percentile(data.prices, [10, 30, 50, 70, 90]))
+    model = fit_gbt(data, GbtConfig(rounds=8))
+    probs = probability_matrix(model, data.features, grid)
+    cols = np.column_stack([model.predict_proba_batch(data.features, float(p))
+                            for p in grid.prices])
+    assert probs.flags.c_contiguous
+    assert np.array_equal(probs, cols)
+    rm = revenue_matrix(model, data.features, grid, probs)
+    assert np.array_equal(rm.values, grid.prices * cols)
+
+
+def test_revenue_matrix_reuses_given_probabilities():
+    class _NoQueries(OracleTeacher):
+        def predict_proba_batch(self, X, p):
+            raise AssertionError("teacher queried despite given probabilities")
+
+    grid = PriceGrid(np.asarray([1.0, 2.0]))
+    probs = np.asarray([[0.5, 0.25], [1.0, 0.0]])
+    rm = revenue_matrix(_NoQueries(None, 1), np.zeros((2, 1)), grid, probs)
+    assert np.array_equal(rm.values, np.asarray([[0.5, 0.5], [1.0, 0.0]]))
 
 
 def test_revenue_matrix_bounds_validation():
