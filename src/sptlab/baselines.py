@@ -10,9 +10,10 @@ import numpy as np
 
 from .dataset import DataError, Dataset, PriceGrid
 from .rng import CounterRng
+from .presort import presort
 from .spt import (FitConfig, PolicyTree, SplitNode, best_split_generic,
-                  grow_tree, json_field, leaf_revenue, nodes_from_json,
-                  single_leaf_tree)
+                  grow_preorder, grow_tree, json_field, leaf_revenue,
+                  nodes_from_json, single_leaf_tree, split_rows)
 from .teacher import RevenueMatrix, TeacherModel, probability_matrix
 
 
@@ -232,36 +233,32 @@ def _group_means(y, w, rows):
     return mu1 - mu0, mu1
 
 
-def _fit_effect_tree(X, y, w, struct_rows, est_rows, config: FitConfig) -> EffectTree:
+def _fit_effect_tree(X, y, w, struct_rows, struct_orders, est_rows,
+                     config: FitConfig) -> EffectTree:
     crit = _EffectVarianceCriterion(y, w)
-    nodes: list = []
-
     root_est = _group_means(y, w, est_rows)
     if root_est is None:
         raise DataError("causal tree needs treated and control rows in the "
                         "estimation half")
 
-    def rec(srows, erows, depth, parent_eff, parent_mu1):
+    def visit(state):
+        srows, sorders, erows, depth, parent_est = state
         est = _group_means(y, w, erows) if erows.size else None
-        eff, mu1 = est if est is not None else (parent_eff, parent_mu1)
+        eff, mu1 = est if est is not None else parent_est
         cand = None
         depth_ok = config.max_depth is None or depth < config.max_depth
         if depth_ok and srows.size >= config.minsplit:
-            cand = best_split_generic(X, srows, config, crit)
+            cand = best_split_generic(X, srows, config, crit, sorders)
         if cand is None:
-            nodes.append(EffectLeaf(eff, mu1, int(erows.size)))
-            return len(nodes) - 1
-        nid = len(nodes)
-        nodes.append(None)
-        s_left = X[srows, cand.feature_index] <= cand.threshold
+            return EffectLeaf(eff, mu1, int(erows.size))
+        left, right = split_rows(X, srows, sorders, cand)
         e_left = X[erows, cand.feature_index] <= cand.threshold
-        left = rec(srows[s_left], erows[e_left], depth + 1, eff, mu1)
-        right = rec(srows[~s_left], erows[~e_left], depth + 1, eff, mu1)
-        nodes[nid] = SplitNode(cand.feature_index, cand.threshold, left, right)
-        return nid
+        return (cand.feature_index, cand.threshold,
+                (*left, erows[e_left], depth + 1, (eff, mu1)),
+                (*right, erows[~e_left], depth + 1, (eff, mu1)))
 
-    root = rec(struct_rows, est_rows, 0, root_est[0], root_est[1])
-    return EffectTree(nodes, root)
+    root = (struct_rows, struct_orders, est_rows, 0, root_est)
+    return EffectTree(grow_preorder(root, visit), 0)
 
 
 @dataclass
@@ -297,12 +294,14 @@ def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, assign: TreatmentAssignmen
     est_rows = np.sort(perm[cut:])
     X = data.features
     y = data.outcomes.astype(np.float64)
+    struct_orders = presort(X, struct_rows)  # shared by all m trees
     trees = []
     for t in range(grid.m):
         w = (assign.indices == t).astype(np.float64)
         if w.sum() < 1 or (data.n - w.sum()) < 1:
             raise DataError(f"treatment {t} has an empty treated or control group")
-        trees.append(_fit_effect_tree(X, y, w, struct_rows, est_rows, config))
+        trees.append(_fit_effect_tree(X, y, w, struct_rows, struct_orders,
+                                      est_rows, config))
     return OneVsAllPolicy(trees, grid)
 
 

@@ -4,8 +4,9 @@ Second-order boosting on regression trees: per round, gradients
 g_i = sigmoid(F_i) - y_i and hessians h_i = sigmoid(F_i)(1 - sigmoid(F_i))
 are fitted by a tree grown leaf-wise (always splitting the leaf with the
 largest gain) up to ``max_leaves`` leaves, with exact split search over all
-observed feature values. Leaf weight is -G/(H + l2); split gain is
-G_L^2/(H_L + l2) + G_R^2/(H_R + l2) - G^2/(H + l2).
+observed feature values. A fit sorts each column once and every node reads
+its rows in that order (``sptlab.presort``). Leaf weight is -G/(H + l2);
+split gain is G_L^2/(H_L + l2) + G_R^2/(H_R + l2) - G^2/(H + l2).
 
 Predictions are sigmoid(base_score + learning_rate * sum_t tree_t(x)), so
 the ensemble is prefix-stable: adding rounds never changes earlier trees.
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
+
+from .presort import presort, split_orders
 
 _EPS_GAIN = 1e-12
 
@@ -52,19 +55,18 @@ class Tree:
         return self.feature.size
 
 
-def _best_split(X, g, h, rows, min_child, l2):
-    """Best (gain, feature, threshold) for one node, or None."""
+def _best_split(X, g, h, rows, orders, min_child, l2):
+    """Best (gain, feature, threshold) for one node, or None; ``orders`` is
+    the node's ``presort(X, rows)``."""
     n = rows.size
     if n < 2 * min_child:
         return None
-    gs, hs = g[rows], h[rows]
-    G, H = gs.sum(), hs.sum()
+    G, H = g[rows].sum(), h[rows].sum()
     parent = G * G / (H + l2)
     best = None
     for j in range(X.shape[1]):
-        x = X[rows, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
+        order = orders[j]
+        xs = X[order, j]
         bnd = np.nonzero(xs[:-1] < xs[1:])[0]
         if bnd.size == 0:
             continue
@@ -73,8 +75,8 @@ def _best_split(X, g, h, rows, min_child, l2):
         bnd = bnd[ok]
         if bnd.size == 0:
             continue
-        gc = np.cumsum(gs[order])[bnd]
-        hc = np.cumsum(hs[order])[bnd]
+        gc = np.cumsum(g[order])[bnd]
+        hc = np.cumsum(h[order])[bnd]
         gains = gc * gc / (hc + l2) + (G - gc) ** 2 / (H - hc + l2) - parent
         i = int(np.argmax(gains))
         if gains[i] > _EPS_GAIN and (best is None or gains[i] > best[0]):
@@ -82,10 +84,14 @@ def _best_split(X, g, h, rows, min_child, l2):
     return best
 
 
-def _grow_tree(X, g, h, max_leaves, min_child, l2):
-    feature, threshold, left, right, value, rows_of = [], [], [], [], [], []
+def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
+    """One leaf-wise tree and its training partition: (tree, {leaf id: rows}).
 
-    def new_node(rows):
+    ``root_orders`` is ``presort(X, all rows)``, shared by every round."""
+    feature, threshold, left, right, value = [], [], [], [], []
+    rows_of, orders_of = {}, {}
+
+    def new_node(rows, orders):
         nid = len(feature)
         feature.append(-1)
         threshold.append(np.nan)
@@ -93,41 +99,34 @@ def _grow_tree(X, g, h, max_leaves, min_child, l2):
         right.append(-1)
         G, H = g[rows].sum(), h[rows].sum()
         value.append(-G / (H + l2))
-        rows_of.append(rows)
-        return nid
+        rows_of[nid] = rows
+        cand = _best_split(X, g, h, rows, orders, min_child, l2)
+        if cand is not None:  # only leaves that may split keep their orders
+            orders_of[nid] = orders
+            heapq.heappush(heap, (-cand[0], nid, cand[1], cand[2]))  # ties: older leaf
 
-    root = new_node(np.arange(X.shape[0]))
     heap = []
-    tick = 0
-
-    def consider(nid):
-        nonlocal tick
-        cand = _best_split(X, g, h, rows_of[nid], min_child, l2)
-        if cand is not None:
-            heapq.heappush(heap, (-cand[0], tick, nid, cand[1], cand[2]))
-            tick += 1
-
-    consider(root)
+    new_node(np.arange(X.shape[0]), root_orders)
     n_leaves = 1
     while n_leaves < max_leaves and heap:
-        _, _, nid, j, thr = heapq.heappop(heap)
-        rows = rows_of[nid]
+        _, nid, j, thr = heapq.heappop(heap)
+        rows = rows_of.pop(nid)
         go_left = X[rows, j] <= thr
-        lid = new_node(rows[go_left])
-        rid = new_node(rows[~go_left])
+        left_orders, right_orders = split_orders(orders_of.pop(nid),
+                                                 rows[go_left], X.shape[0])
         feature[nid], threshold[nid] = j, thr
-        left[nid], right[nid] = lid, rid
+        left[nid], right[nid] = len(feature), len(feature) + 1
         value[nid] = np.nan
-        rows_of[nid] = None
+        new_node(rows[go_left], left_orders)
+        new_node(rows[~go_left], right_orders)
         n_leaves += 1
-        consider(lid)
-        consider(rid)
 
-    return Tree(np.asarray(feature, dtype=np.int64),
+    tree = Tree(np.asarray(feature, dtype=np.int64),
                 np.asarray(threshold, dtype=np.float64),
                 np.asarray(left, dtype=np.int64),
                 np.asarray(right, dtype=np.int64),
                 np.asarray(value, dtype=np.float64))
+    return tree, rows_of
 
 
 @dataclass
@@ -158,10 +157,13 @@ def fit_boosted_trees(X, y, rounds=50, learning_rate=0.1, max_leaves=31,
     base = float(np.log(p0 / (1.0 - p0)))
     model = BoostedTrees(base, learning_rate, X.shape[1])
     margin = np.full(X.shape[0], base)
+    orders = presort(X, np.arange(X.shape[0]))
     for _ in range(rounds):
         p = expit(margin)
-        tree = _grow_tree(X, p - y, p * (1.0 - p), max_leaves, min_child_samples, l2)
-        margin += learning_rate * tree.predict(X)
+        tree, leaf_rows = _grow_tree(X, p - y, p * (1.0 - p), orders,
+                                     max_leaves, min_child_samples, l2)
+        for nid, rows in leaf_rows.items():  # what tree.predict(X) would add
+            margin[rows] += learning_rate * tree.value[nid]
         model.trees.append(tree)
     return model
 

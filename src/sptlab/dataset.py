@@ -4,6 +4,7 @@ and the retail price-imputation / store-filtering preprocessing rules."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -134,8 +135,43 @@ def load_csv(path) -> Dataset:
         price_col = header.index("price")
         sold_col = header.index("sold")
         feat_cols = [i for i in range(len(header)) if i not in (price_col, sold_col)]
+        try:
+            table = _bulk_cells(reader, len(header), sold_col)
+        except ValueError:
+            table = None
+    if table is None:  # some cell is bad: name the first one
+        table = _checked_cells(path, header, sold_col)
 
-        feats, prices, outcomes = [], [], []
+    if table.shape[0] == 0:
+        raise DataError(f"{path}: no data rows")
+    names = tuple(header[i] for i in feat_cols)
+    return Dataset(table[:, feat_cols], table[:, price_col], table[:, sold_col],
+                   names)
+
+
+def _bulk_cells(reader, width: int, sold_col: int) -> np.ndarray:
+    """All remaining rows as one float matrix; ValueError on any bad row."""
+    def rows():
+        for row in reader:
+            if len(row) != width:
+                raise ValueError("ragged row")
+            yield row
+    cells = np.fromiter(map(float, itertools.chain.from_iterable(rows())),
+                        dtype=np.float64)
+    table = cells.reshape(-1, width)
+    sold = table[:, sold_col]
+    if not np.all((sold == 0.0) | (sold == 1.0)):
+        raise ValueError("'sold' outside {0, 1}")
+    return table
+
+
+def _checked_cells(path, header, sold_col: int) -> np.ndarray:
+    """Row-by-row pass of load_csv: a DataError naming the line and column
+    of the first bad cell in file order."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        table = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
@@ -147,32 +183,30 @@ def load_csv(path) -> Dataset:
                     raise DataError(
                         f"{path}:{line_no}: non-numeric value {cell!r} in column '{header[i]}'"
                     ) from None
-            sold = vals[sold_col]
-            if sold not in (0.0, 1.0):
+            if vals[sold_col] not in (0.0, 1.0):
                 raise DataError(
                     f"{path}:{line_no}: 'sold' must be 0 or 1, got {row[sold_col]!r}"
                 )
-            feats.append([vals[i] for i in feat_cols])
-            prices.append(vals[price_col])
-            outcomes.append(sold)
+            table.append(vals)
+    return np.asarray(table, dtype=np.float64).reshape(len(table), len(header))
 
-    if not prices:
-        raise DataError(f"{path}: no data rows")
-    names = tuple(header[i] for i in feat_cols)
-    return Dataset(np.asarray(feats, dtype=np.float64).reshape(len(prices), len(feat_cols)),
-                   np.asarray(prices), np.asarray(outcomes), names)
+
+_WRITE_BLOCK = 8192  # rows formatted per write, to bound the text held at once
 
 
 def write_csv(data: Dataset, path) -> None:
     """Write a dataset in the load_csv schema (features..., price, sold)."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(list(data.feature_names) + ["price", "sold"])
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]]
-            row.append(repr(float(data.prices[i])))
-            row.append(str(int(data.outcomes[i])))
-            writer.writerow(row)
+        csv.writer(f).writerow(list(data.feature_names) + ["price", "sold"])
+        # csv.writer would quote nothing here: a float's repr has no comma,
+        # quote or line break. Its "\r\n" line terminator is kept.
+        for start in range(0, data.n, _WRITE_BLOCK):
+            stop = start + _WRITE_BLOCK
+            values = np.column_stack([data.features[start:stop],
+                                      data.prices[start:stop]]).tolist()
+            sold = data.outcomes[start:stop].tolist()
+            f.write("".join(f"{','.join(map(repr, row))},{y}\r\n"
+                            for row, y in zip(values, sold)))
 
 
 def load_sale_history(path) -> SaleHistory:

@@ -128,10 +128,22 @@ def hypercube_policy(truth_or_teacher: TeacherModel, grid: PriceGrid, k: int,
     return tree
 
 
+_MAX_LATTICE_POINTS = 2_000_000  # 101 per axis: d=3 has 1,030,301, d=4 about 10**8
+
+
 def numeric_lipschitz(truth: TeacherModel, d: int, grid: PriceGrid,
                       n_axis: int = 101) -> float:
     """max over a dense lattice of the L2 norm of d(p*f)/dx, by central
-    differences; the revenue function's Lipschitz constant in x."""
+    differences; the revenue function's Lipschitz constant in x.
+
+    Raises ValueError, before allocating, when the ``n_axis ** d`` lattice
+    has more than ``_MAX_LATTICE_POINTS`` points (d=20 would need 101**20).
+    """
+    if n_axis ** d > _MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"numeric_lipschitz: a lattice of n_axis={n_axis} points per axis "
+            f"in d={d} dimensions has {n_axis}**{d} points, more than "
+            f"{_MAX_LATTICE_POINTS}")
     axes = [np.linspace(0.0, 1.0, n_axis)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.column_stack([a.ravel() for a in mesh])

@@ -11,17 +11,19 @@ threshold, then the lowest price, so fits are deterministic and invariant
 to row order.
 
 The same engine drives the baseline trees (different node criteria plugged
-into ``grow_tree``).
+into ``grow_tree``). Each fit sorts every feature once and hands each node
+its rows in feature order (``sptlab.presort``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import DataError
+from .presort import presort, split_orders
 from .teacher import RevenueMatrix
 
 
@@ -181,11 +183,10 @@ class _RevenueCriterion:
         return float(self.grid.prices[k]), float(sums[k])
 
 
-def _sweep_feature(x, stats_rows, min_leaf, scores_batch):
-    """Best boundary for one feature: (combined, threshold, left_count) or None."""
-    n = x.size
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
+def _sweep_feature(xs, stats, order, min_leaf, scores_batch):
+    """Best boundary for one feature, given the node's rows in ``order`` and
+    their sorted values ``xs``: (combined, threshold, left_count) or None."""
+    n = xs.size
     bnd = np.nonzero(xs[:-1] < xs[1:])[0]
     if bnd.size == 0:
         return None
@@ -194,7 +195,7 @@ def _sweep_feature(x, stats_rows, min_leaf, scores_batch):
     bnd = bnd[ok]
     if bnd.size == 0:
         return None
-    csum = np.cumsum(stats_rows[order], axis=0)
+    csum = np.cumsum(stats[order], axis=0)
     left = csum[bnd]
     right = csum[-1] - left
     combined = scores_batch(left, bnd + 1) + scores_batch(right, n - bnd - 1)
@@ -202,15 +203,20 @@ def _sweep_feature(x, stats_rows, min_leaf, scores_batch):
     return float(combined[i]), float(xs[bnd[i]]), int(bnd[i] + 1)
 
 
-def best_split_generic(features, rows, config: FitConfig, crit):
-    """Best strict-improvement split at a node under any node criterion."""
+def best_split_generic(features, rows, config: FitConfig, crit, orders=None):
+    """Best strict-improvement split at a node under any node criterion.
+
+    ``orders`` is the node's ``presort(features, rows)``; growers pass it
+    down the tree, other callers leave it for this function to compute."""
     rows = np.asarray(rows, dtype=np.int64)
-    stats_rows = crit.stats[rows]
-    node = crit.node_score(stats_rows.sum(axis=0), rows.size)
+    if orders is None:
+        orders = presort(features, rows)
+    node = crit.node_score(crit.node_sums(rows), rows.size)
     best = None
     for j in range(features.shape[1]):
-        got = _sweep_feature(features[rows, j], stats_rows, config.min_leaf,
-                             crit.scores_batch)
+        order = orders[j]
+        got = _sweep_feature(features[order, j], crit.stats, order,
+                             config.min_leaf, crit.scores_batch)
         if got is None:
             continue
         combined, threshold, left_count = got
@@ -220,39 +226,68 @@ def best_split_generic(features, rows, config: FitConfig, crit):
     return best
 
 
+def grow_preorder(root, visit) -> list:
+    """Nodes of a tree grown top-down, numbered in preorder.
+
+    ``visit(state)`` returns a leaf node, or ``(feature, threshold,
+    left_state, right_state)`` to split. Only pending right children wait
+    on the stack, so with disjoint row sets the live states of a fit hold
+    each row at most about twice.
+    """
+    nodes: list = []
+    stack = [(root, None)]
+    while stack:
+        state, parent = stack.pop()
+        nid = len(nodes)
+        if parent is not None:  # a right child completes its parent
+            nodes[parent] = replace(nodes[parent], right=nid)
+        got = visit(state)
+        if isinstance(got, tuple):  # unpacked names would outlive the states
+            nodes.append(SplitNode(got[0], got[1], nid + 1, -1))
+            stack.append((got[3], nid))
+            stack.append((got[2], None))
+        else:
+            nodes.append(got)
+    return nodes
+
+
+def split_rows(features, rows, orders, cand: SplitCandidate):
+    """(left, right) children of a node as (rows, orders) pairs."""
+    go_left = features[rows, cand.feature_index] <= cand.threshold
+    left_orders, right_orders = split_orders(orders, rows[go_left],
+                                             features.shape[0])
+    return (rows[go_left], left_orders), (rows[~go_left], right_orders)
+
+
 def grow_tree(features, crit, config: FitConfig,
               feature_names=None, grid_prices=None) -> PolicyTree:
-    """Greedy top-down recursion shared by SPT and the baseline trees."""
+    """Greedy top-down growth shared by SPT and the baseline trees."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     n, d = features.shape
     names = tuple(feature_names) if feature_names is not None \
         else tuple(f"x{i}" for i in range(d))
-    nodes: list = []
     max_depth_seen = 0
 
-    def rec(rows, depth):
+    def visit(state):
         nonlocal max_depth_seen
+        rows, orders, depth = state
         max_depth_seen = max(max_depth_seen, depth)
         cand = None
         depth_ok = config.max_depth is None or depth < config.max_depth
         if depth_ok and rows.size >= config.minsplit:
-            cand = best_split_generic(features, rows, config, crit)
+            cand = best_split_generic(features, rows, config, crit, orders)
         if cand is None:
             price, revsum = crit.leaf_payload(crit.node_sums(rows), rows.size)
-            nodes.append(LeafNode(price, revsum, int(rows.size)))
-            return len(nodes) - 1
-        go_left = features[rows, cand.feature_index] <= cand.threshold
-        nid = len(nodes)
-        nodes.append(None)  # placeholder until children exist
-        left = rec(rows[go_left], depth + 1)
-        right = rec(rows[~go_left], depth + 1)
-        nodes[nid] = SplitNode(cand.feature_index, cand.threshold, left, right)
-        return nid
+            return LeafNode(price, revsum, int(rows.size))
+        left, right = split_rows(features, rows, orders, cand)
+        return (cand.feature_index, cand.threshold,
+                (*left, depth + 1), (*right, depth + 1))
 
-    root = rec(np.arange(n), 0)
+    rows = np.arange(n)
+    nodes = grow_preorder((rows, presort(features, rows), 0), visit)
     grid = np.asarray(grid_prices, dtype=np.float64) if grid_prices is not None \
         else np.unique([nd.price for nd in nodes if isinstance(nd, LeafNode)])
-    tree = PolicyTree(nodes, root, names, grid, max_depth_seen)
+    tree = PolicyTree(nodes, 0, names, grid, max_depth_seen)
     tree.validate()
     return tree
 

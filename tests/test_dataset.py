@@ -64,6 +64,52 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.outcomes, data.outcomes)
 
 
+def test_load_csv_reports_first_bad_row_in_file_order(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("x0,price,sold\n1.0,5.0,1\n1.0,5.0,0.5\nnope,5.0,1\n1.0,5.0\n")
+    with pytest.raises(DataError, match=r"d\.csv:3: 'sold' must be 0 or 1, got '0\.5'"):
+        load_csv(f)
+    f.write_text("x0,price,sold\n1.0,5.0,1\n1.0\n1.0,x,1\n")
+    with pytest.raises(DataError, match=r"d\.csv:3: expected 3 cells, got 1"):
+        load_csv(f)
+    f.write_text("x0,price,sold\n1.0,5.0,1\n1.0,x,1\n1.0\n")
+    with pytest.raises(DataError,
+                       match=r"d\.csv:3: non-numeric value 'x' in column 'price'"):
+        load_csv(f)
+
+
+def test_load_csv_header_only_has_no_rows(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("x0,price,sold\n")
+    with pytest.raises(DataError, match="no data rows"):
+        load_csv(f)
+
+
+def test_write_csv_bytes_match_csv_writer_rows(tmp_path):
+    """The bulk writer emits what csv.writer writes row by row, across
+    more than one write block."""
+    import csv
+
+    rng = np.random.default_rng(3)
+    n = 8192 + 5
+    data = Dataset(rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-6, 6, size=(n, 2)),
+                   rng.uniform(1.0, 9.0, n), rng.integers(0, 2, n), ("a", "b c"))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["a", "b c", "price", "sold"])
+        for i in range(n):
+            writer.writerow([repr(float(v)) for v in data.features[i]]
+                            + [repr(float(data.prices[i])), str(int(data.outcomes[i]))])
+    out = tmp_path / "out.csv"
+    write_csv(data, out)
+    assert out.read_bytes() == ref.read_bytes()
+    back = load_csv(out)
+    assert back.features.tobytes() == data.features.tobytes()
+    assert back.prices.tobytes() == data.prices.tobytes()
+    np.testing.assert_array_equal(back.outcomes, data.outcomes)
+
+
 def test_dataset_invariants():
     with pytest.raises(DataError):
         Dataset(np.asarray([[1.0]]), np.asarray([np.inf]), np.asarray([1]), ("a",))

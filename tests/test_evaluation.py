@@ -165,3 +165,13 @@ def test_verify_regret_designed_truth_k4():
     assert check.passed
     assert check.max_observed_regret >= 0.0
     assert check.bound > 0.0
+
+
+def test_numeric_lipschitz_refuses_huge_lattice():
+    def never_called(X, p):
+        raise AssertionError("lattice was built")
+
+    truth = OracleTeacher(never_called, 20)
+    grid = PriceGrid(np.asarray([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"n_axis=101 .* d=20 "):
+        numeric_lipschitz(truth, 20, grid)

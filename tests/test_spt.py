@@ -170,6 +170,26 @@ def test_monotone_depth_training_revenue():
     assert all(b >= a - 1e-9 for a, b in zip(revs, revs[1:]))
 
 
+@pytest.mark.parametrize("depth,minsplit", [(3, 2), (6, 20), (None, 40)])
+def test_leaf_revenue_sum_is_recomputed_column_max(depth, minsplit):
+    """Each leaf stores R(S) = max_k sum_{i in S} r[i, k] over the rows that
+    reach it, and its row count."""
+    rng = np.random.default_rng(23)
+    X = np.round(rng.normal(size=(400, 3)), 1)  # ties in every feature
+    prices = np.asarray([1.0, 2.0, 3.0, 5.0])
+    vals = rng.uniform(0, 1, (400, 4)) * prices
+    rm = make_revmat(vals, prices=prices)
+    tree = fit_spt(X, rm, FitConfig(max_depth=depth, minsplit=minsplit))
+    reached = tree.leaf_rows(X)
+    leaves = [i for i, nd in enumerate(tree.nodes) if isinstance(nd, LeafNode)]
+    assert len(leaves) >= 4
+    assert set(reached.tolist()) == set(leaves)
+    for nid in leaves:
+        in_leaf = reached == nid
+        assert tree.nodes[nid].revenue_sum == vals[in_leaf].sum(axis=0).max()
+        assert tree.nodes[nid].n_train == in_leaf.sum()
+
+
 def test_depth1_matches_brute_force_small():
     rng = np.random.default_rng(17)
     for trial in range(5):

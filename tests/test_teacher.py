@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from sptlab import boosting
 from sptlab import teacher as teacher_module
 from sptlab.dataset import DataError, Dataset, PriceGrid
 from sptlab.synth import generate, make_spec, oracle_teacher
@@ -84,6 +86,42 @@ def test_gbt_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(
         model.predict_proba_batch(data.features, data.prices),
         loaded.predict_proba_batch(data.features, data.prices))
+
+
+# Recorded from the per-node argsort grower; the presorted grower must
+# write the same bytes.
+GBT_PIN_SHA256 = "2a9a1d95cd77efe531a1ef7fe42988236aa3923df910c129471b559639900c98"
+
+
+def test_gbt_file_bytes_pinned(tmp_path):
+    data = generate(make_spec(4), 600, 0)
+    model = fit_gbt(data, GbtConfig(rounds=12, min_child_samples=5))
+    path = tmp_path / "model.txt"
+    model.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GBT_PIN_SHA256
+
+
+def test_fit_training_margin_equals_predict_margin(monkeypatch):
+    """The margin the fit updates from each tree's leaf partition equals
+    the ensemble's predict_margin on the training rows, bit for bit."""
+    seen = []
+    real_expit = boosting.expit
+
+    def spy(margin):
+        seen.append((margin, margin.copy()))
+        return real_expit(margin)
+
+    monkeypatch.setattr(boosting, "expit", spy)
+    data = generate(make_spec(4), 600, 0)
+    X = np.column_stack([data.features, data.prices])
+    model = boosting.fit_boosted_trees(X, data.outcomes, rounds=12,
+                                       min_child_samples=5)
+    assert len(seen) == 12
+    final = seen[0][0]  # the fit's one margin array, updated in place
+    assert all(margin is final for margin, _ in seen)
+    for t, (_, before_round) in enumerate(seen):
+        assert before_round.tobytes() == model.predict_margin(X, t).tobytes()
+    assert final.tobytes() == model.predict_margin(X).tobytes()
 
 
 def test_oracle_teacher_examples():
