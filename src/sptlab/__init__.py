@@ -9,13 +9,13 @@ from .teacher import (GbtConfig, GradientBoostedTeacher, OracleTeacher,
                       TeacherModel, auc, fit_gbt, load_table_teacher,
                       probability_matrix, revenue_matrix)
 from .spt import (FitConfig, PolicyTree, SplitCandidate, best_split,
-                  export_tree, fit_spt, leaf_revenue, predict_price,
-                  single_leaf_tree, training_revenue, tree_from_json)
+                  export_tree, fit_spt, leaf_revenue, single_leaf_tree,
+                  training_revenue, tree_from_json)
 from .baselines import (OneVsAllPolicy, TreatmentAssignment, assign_treatments,
                         constant_price_policy, export_one_vs_all,
                         fit_ct_one_vs_all, fit_naive_distill, fit_pt,
                         historical_policy_revenue, naive_training_mse,
-                        one_vs_all_from_json, teacher_probability_targets)
+                        one_vs_all_from_json)
 from .synth import (SPEC_IDS, OraclePolicy, SyntheticSpec, fine_price_grid,
                     generate, make_spec, oracle_optimal, oracle_optimal_batch,
                     oracle_teacher, standard_normal_cdf, true_probability,

@@ -8,13 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataError, Dataset, PriceGrid
-from .rng import CounterRng
-from .presort import presort
-from .spt import (FitConfig, PolicyTree, SplitNode, best_split_generic,
-                  grow_preorder, grow_tree, json_field, leaf_revenue,
-                  nodes_from_json, single_leaf_tree, split_rows)
+from .dataset import DataError, Dataset, PriceGrid, half_rows
+from .spt import (FitConfig, PolicyTree, StatsCriterion, grow_tree,
+                  leaf_revenue, single_leaf_tree, split_node)
 from .teacher import RevenueMatrix, TeacherModel, probability_matrix
+from .tree import (grow_preorder, json_field, leaf_values, nodes_from_json,
+                   nodes_to_json, presort)
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ def assign_treatments(prices, grid: PriceGrid) -> TreatmentAssignment:
     return TreatmentAssignment(idx, grid)
 
 
-class _PersonalizationCriterion:
+class _PersonalizationCriterion(StatsCriterion):
     """Node score: best per-treatment average observed revenue.
 
     I(S) = max_t sum(p_i y_i [t_i = t]) / sum([t_i = t]), treatments with no
@@ -56,15 +55,9 @@ class _PersonalizationCriterion:
         self.grid = assign.grid
         self.m = m
 
-    def node_sums(self, rows):
-        return self.stats[rows].sum(axis=0)
-
     def _avgs(self, sums):
         rev, cnt = sums[..., :self.m], sums[..., self.m:]
         return np.where(cnt > 0.5, rev / np.maximum(cnt, 1.0), -np.inf)
-
-    def node_score(self, sums, count):
-        return float(self._avgs(sums).max())
 
     def scores_batch(self, sums, counts):
         return self._avgs(sums).max(axis=1)
@@ -75,7 +68,7 @@ class _PersonalizationCriterion:
         return float(self.grid.prices[t]), float(avgs[t] * count)
 
 
-class _MultiOutputMseCriterion:
+class _MultiOutputMseCriterion(StatsCriterion):
     """Negative sum-of-squared-errors of the teacher probability vectors."""
 
     def __init__(self, targets: np.ndarray, grid: PriceGrid):
@@ -83,10 +76,7 @@ class _MultiOutputMseCriterion:
         self.stats = np.column_stack([targets, (targets ** 2).sum(axis=1)])
         self.grid = grid
 
-    def node_sums(self, rows):
-        return self.stats[rows].sum(axis=0)
-
-    def node_score(self, sums, count):
+    def node_score(self, sums, count):  # s @ s adds in its own order: kept as is
         s = sums[: self.m]
         return float(-(sums[self.m] - (s @ s) / count))
 
@@ -105,12 +95,6 @@ def fit_pt(data: Dataset, grid: PriceGrid, assign: TreatmentAssignment,
     """Personalization tree: greedy maximization of per-treatment averages."""
     crit = _PersonalizationCriterion(data, assign)
     return grow_tree(data.features, crit, config, data.feature_names, grid.prices)
-
-
-def teacher_probability_targets(teacher: TeacherModel, features,
-                                grid: PriceGrid) -> np.ndarray:
-    """The naive student's regression target: f(x_i, p_k) over the grid."""
-    return probability_matrix(teacher, features, grid)
 
 
 def fit_naive_distill(teacher: TeacherModel, features, grid: PriceGrid,
@@ -170,47 +154,20 @@ class EffectTree:
     nodes: list
     root: int
 
-    def _leaf_values(self, X: np.ndarray, attr: str) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty(X.shape[0])
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            nid, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            node = self.nodes[nid]
-            if isinstance(node, EffectLeaf):
-                out[idx] = getattr(node, attr)
-                continue
-            if node.feature >= X.shape[1]:
-                raise ValueError(
-                    f"feature matrix of dim {X.shape[1]} too narrow for split on "
-                    f"feature {node.feature}")
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
-
     def treated_means(self, X: np.ndarray) -> np.ndarray:
-        return self._leaf_values(X, "treated_mean")
+        return leaf_values(self.nodes, self.root, X, "treated_mean")
 
     def effects(self, X: np.ndarray) -> np.ndarray:
-        return self._leaf_values(X, "effect")
+        return leaf_values(self.nodes, self.root, X, "effect")
 
 
-class _EffectVarianceCriterion:
+class _EffectVarianceCriterion(StatsCriterion):
     """Split score: sum over children of n * (effect estimate)^2, the greedy
     proxy for maximizing the variance of leaf effect estimates. Children
     lacking a treated or control observation are invalid (-inf)."""
 
     def __init__(self, y: np.ndarray, w: np.ndarray):
         self.stats = np.column_stack([w, w * y, y])
-
-    def node_sums(self, rows):
-        return self.stats[rows].sum(axis=0)
-
-    def node_score(self, sums, count):
-        return float(self.scores_batch(sums[None, :], np.asarray([count]))[0])
 
     def scores_batch(self, sums, counts):
         nt = sums[..., 0]
@@ -245,13 +202,10 @@ def _fit_effect_tree(X, y, w, struct_rows, struct_orders, est_rows,
         srows, sorders, erows, depth, parent_est = state
         est = _group_means(y, w, erows) if erows.size else None
         eff, mu1 = est if est is not None else parent_est
-        cand = None
-        depth_ok = config.max_depth is None or depth < config.max_depth
-        if depth_ok and srows.size >= config.minsplit:
-            cand = best_split_generic(X, srows, config, crit, sorders)
-        if cand is None:
+        got = split_node(X, srows, sorders, depth, config, crit)
+        if got is None:
             return EffectLeaf(eff, mu1, int(erows.size))
-        left, right = split_rows(X, srows, sorders, cand)
+        cand, left, right = got
         e_left = X[erows, cand.feature_index] <= cand.threshold
         return (cand.feature_index, cand.threshold,
                 (*left, erows[e_left], depth + 1, (eff, mu1)),
@@ -288,10 +242,7 @@ def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, assign: TreatmentAssignmen
                       config: FitConfig, seed: int) -> OneVsAllPolicy:
     """Fit m one-vs-all honest causal trees; the sample is split once (by
     seed) into structure and estimation halves shared by all treatments."""
-    perm = CounterRng(seed).permutation(data.n)
-    cut = (data.n + 1) // 2
-    struct_rows = np.sort(perm[:cut])
-    est_rows = np.sort(perm[cut:])
+    struct_rows, est_rows = half_rows(data.n, seed)
     X = data.features
     y = data.outcomes.astype(np.float64)
     struct_orders = presort(X, struct_rows)  # shared by all m trees
@@ -307,21 +258,9 @@ def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, assign: TreatmentAssignmen
 
 def export_one_vs_all(policy: OneVsAllPolicy) -> str:
     """JSON: array of per-treatment effect trees plus the grid."""
-    trees = []
-    for tree in policy.trees:
-        nodes = []
-        for i, node in enumerate(tree.nodes):
-            if isinstance(node, SplitNode):
-                nodes.append({"id": i, "kind": "split", "feature": node.feature,
-                              "threshold": node.threshold,
-                              "left": node.left, "right": node.right})
-            else:
-                nodes.append({"id": i, "kind": "leaf", "effect": node.effect,
-                              "treated_mean": node.treated_mean,
-                              "n_est": node.n_est})
-        trees.append({"nodes": nodes, "root": tree.root})
     return json.dumps({"price_grid": [float(p) for p in policy.grid.prices],
-                       "trees": trees}, indent=2)
+                       "trees": [nodes_to_json(t.nodes, t.root)
+                                 for t in policy.trees]}, indent=2)
 
 
 def one_vs_all_from_json(text: str) -> OneVsAllPolicy:
@@ -332,12 +271,6 @@ def one_vs_all_from_json(text: str) -> OneVsAllPolicy:
     if not isinstance(docs, list) or len(docs) != grid.m:
         raise DataError(f"policy: 'trees' must list one tree per grid price "
                         f"({grid.m})")
-
-    def leaf(nd, at):
-        return EffectLeaf(json_field(nd, "effect", at, float),
-                          json_field(nd, "treated_mean", at, float),
-                          json_field(nd, "n_est", at, int))
-
-    trees = [EffectTree(*nodes_from_json(td, leaf, f"policy tree {t}"))
+    trees = [EffectTree(*nodes_from_json(td, EffectLeaf, f"policy tree {t}")[:2])
              for t, td in enumerate(docs)]
     return OneVsAllPolicy(trees, grid)

@@ -5,7 +5,7 @@ g_i = sigmoid(F_i) - y_i and hessians h_i = sigmoid(F_i)(1 - sigmoid(F_i))
 are fitted by a tree grown leaf-wise (always splitting the leaf with the
 largest gain) up to ``max_leaves`` leaves, with exact split search over all
 observed feature values. A fit sorts each column once and every node reads
-its rows in that order (``sptlab.presort``). Leaf weight is -G/(H + l2);
+its rows in that order (``sptlab.tree``). Leaf weight is -G/(H + l2);
 split gain is G_L^2/(H_L + l2) + G_R^2/(H_R + l2) - G^2/(H + l2).
 
 Predictions are sigmoid(base_score + learning_rate * sum_t tree_t(x)), so
@@ -22,37 +22,26 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .presort import presort, split_orders
+from .dataset import DataError
+from .tree import (SplitNode, check_structure, leaf_values, place_node, presort,
+                   split_orders)
 
 _EPS_GAIN = 1e-12
 
 
+@dataclass(frozen=True)
+class ValueLeaf:
+    value: float
+
+
 @dataclass
 class Tree:
-    """Flat-array regression tree; leaves have feature == -1."""
+    """Regression tree rooted at node 0: ``SplitNode``s and ``ValueLeaf``s."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
+    nodes: list
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            nid, idx = stack.pop()
-            if self.feature[nid] < 0:
-                out[idx] = self.value[nid]
-                continue
-            go_left = X[idx, self.feature[nid]] <= self.threshold[nid]
-            stack.append((self.left[nid], idx[go_left]))
-            stack.append((self.right[nid], idx[~go_left]))
-        return out
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
+        return leaf_values(self.nodes, 0, X, "value")
 
 
 def _best_split(X, g, h, rows, orders, min_child, l2):
@@ -87,18 +76,14 @@ def _best_split(X, g, h, rows, orders, min_child, l2):
 def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
     """One leaf-wise tree and its training partition: (tree, {leaf id: rows}).
 
-    ``root_orders`` is ``presort(X, all rows)``, shared by every round."""
-    feature, threshold, left, right, value = [], [], [], [], []
-    rows_of, orders_of = {}, {}
+    ``root_orders`` is ``presort(X, all rows)``, shared by every round. Node
+    ids are given in creation order, the two children of a split together."""
+    nodes, rows_of, orders_of = [], {}, {}
 
     def new_node(rows, orders):
-        nid = len(feature)
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
+        nid = len(nodes)
         G, H = g[rows].sum(), h[rows].sum()
-        value.append(-G / (H + l2))
+        nodes.append(ValueLeaf(-G / (H + l2)))
         rows_of[nid] = rows
         cand = _best_split(X, g, h, rows, orders, min_child, l2)
         if cand is not None:  # only leaves that may split keep their orders
@@ -112,21 +97,16 @@ def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
         _, nid, j, thr = heapq.heappop(heap)
         rows = rows_of.pop(nid)
         go_left = X[rows, j] <= thr
-        left_orders, right_orders = split_orders(orders_of.pop(nid),
-                                                 rows[go_left], X.shape[0])
-        feature[nid], threshold[nid] = j, thr
-        left[nid], right[nid] = len(feature), len(feature) + 1
-        value[nid] = np.nan
-        new_node(rows[go_left], left_orders)
-        new_node(rows[~go_left], right_orders)
+        left, right = rows[go_left], rows[~go_left]
+        # a child under 2 * min_child rows has no split candidate
+        keep = (left.size >= 2 * min_child, right.size >= 2 * min_child)
+        left_orders, right_orders = split_orders(orders_of.pop(nid), left,
+                                                 X.shape[0], keep)
+        nodes[nid] = SplitNode(j, thr, len(nodes), len(nodes) + 1)
+        new_node(left, left_orders)
+        new_node(right, right_orders)
         n_leaves += 1
-
-    tree = Tree(np.asarray(feature, dtype=np.int64),
-                np.asarray(threshold, dtype=np.float64),
-                np.asarray(left, dtype=np.int64),
-                np.asarray(right, dtype=np.int64),
-                np.asarray(value, dtype=np.float64))
-    return tree, rows_of
+    return Tree(nodes), rows_of
 
 
 @dataclass
@@ -163,7 +143,7 @@ def fit_boosted_trees(X, y, rounds=50, learning_rate=0.1, max_leaves=31,
         tree, leaf_rows = _grow_tree(X, p - y, p * (1.0 - p), orders,
                                      max_leaves, min_child_samples, l2)
         for nid, rows in leaf_rows.items():  # what tree.predict(X) would add
-            margin[rows] += learning_rate * tree.value[nid]
+            margin[rows] += learning_rate * tree.nodes[nid].value
         model.trees.append(tree)
     return model
 
@@ -177,48 +157,59 @@ def save_boosted_trees(model: BoostedTrees, path) -> None:
         f.write(f"n_features {model.n_features}\n")
         f.write(f"n_trees {len(model.trees)}\n")
         for t_idx, tree in enumerate(model.trees):
-            f.write(f"tree {t_idx} {tree.n_nodes}\n")
-            for i in range(tree.n_nodes):
-                if tree.feature[i] < 0:
-                    f.write(f"{i} leaf {float(tree.value[i])!r}\n")
+            f.write(f"tree {t_idx} {len(tree.nodes)}\n")
+            for i, node in enumerate(tree.nodes):
+                if isinstance(node, SplitNode):
+                    f.write(f"{i} split {int(node.feature)} "
+                            f"{float(node.threshold)!r} "
+                            f"{int(node.left)} {int(node.right)}\n")
                 else:
-                    f.write(f"{i} split {int(tree.feature[i])} "
-                            f"{float(tree.threshold[i])!r} "
-                            f"{int(tree.left[i])} {int(tree.right[i])}\n")
+                    f.write(f"{i} leaf {float(node.value)!r}\n")
+
+
+def _fields(lines, pos, path, *kinds):
+    """The fields of line ``pos``, each converted by its kind (a str kind
+    must equal its field); a DataError naming the line otherwise."""
+    parts = lines[pos].split() if pos < len(lines) else []
+    try:
+        if len(parts) == len(kinds) and all(
+                k == p for k, p in zip(kinds, parts) if isinstance(k, str)):
+            return [p if isinstance(k, str) else k(p) for k, p in zip(kinds, parts)]
+    except ValueError:
+        pass
+    expect = " ".join(k if isinstance(k, str) else f"<{k.__name__}>" for k in kinds)
+    got = repr(lines[pos]) if pos < len(lines) else "the end of the file"
+    raise DataError(f"{path} line {pos + 1}: expected {expect!r}, got {got}")
 
 
 def load_boosted_trees(path) -> BoostedTrees:
+    """Inverse of ``save_boosted_trees``. A malformed file raises a DataError
+    naming the path and line: a missing or unreadable line, a node id,
+    child or feature out of range, or a tree that is not a proper binary
+    tree rooted at node 0."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or lines[0] != "sptlab-gbt v1":
-        raise ValueError(f"{path}: not a sptlab-gbt v1 model file")
-    base = float(lines[1].split()[1])
-    lr = float(lines[2].split()[1])
-    n_features = int(lines[3].split()[1])
-    n_trees = int(lines[4].split()[1])
+        raise DataError(f"{path}: not a sptlab-gbt v1 model file")
+    base, lr, n_features, n_trees = (
+        _fields(lines, pos, path, key, kind)[1] for pos, key, kind in (
+            (1, "base_score", float), (2, "learning_rate", float),
+            (3, "n_features", int), (4, "n_trees", int)))
     model = BoostedTrees(base, lr, n_features)
-    pos = 5
-    for _ in range(n_trees):
-        head = lines[pos].split()
-        if head[0] != "tree":
-            raise ValueError(f"{path}: expected tree header at line {pos + 1}")
-        n_nodes = int(head[2])
-        pos += 1
-        feature = np.full(n_nodes, -1, dtype=np.int64)
-        threshold = np.full(n_nodes, np.nan)
-        left = np.full(n_nodes, -1, dtype=np.int64)
-        right = np.full(n_nodes, -1, dtype=np.int64)
-        value = np.full(n_nodes, np.nan)
-        for _ in range(n_nodes):
-            parts = lines[pos].split()
-            i = int(parts[0])
-            if parts[1] == "leaf":
-                value[i] = float(parts[2])
-            else:
-                feature[i] = int(parts[2])
-                threshold[i] = float(parts[3])
-                left[i] = int(parts[4])
-                right[i] = int(parts[5])
-            pos += 1
-        model.trees.append(Tree(feature, threshold, left, right, value))
+    head = 5
+    for t in range(n_trees):
+        _, _, n_nodes = _fields(lines, head, path, "tree", int, int)
+        if not 1 <= n_nodes < len(lines) - head:
+            raise DataError(f"{path} line {head + 1}: tree {t} needs {n_nodes} "
+                            f"node lines, {len(lines) - head - 1} follow")
+        nodes: list = [None] * n_nodes
+        for pos in range(head + 1, head + 1 + n_nodes):
+            leaf = len(lines[pos].split()) == 3
+            got = _fields(lines, pos, path, *((int, "leaf", float) if leaf else
+                                              (int, "split", int, float, int, int)))
+            node = ValueLeaf(got[2]) if leaf else SplitNode(*got[2:])
+            place_node(nodes, got[0], node, f"{path} line {pos + 1}", n_features)
+        check_structure(nodes, 0, f"{path} line {head + 1}: tree {t}")
+        model.trees.append(Tree(nodes))
+        head += 1 + n_nodes
     return model

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,14 +24,14 @@ from .teacher import (GbtConfig, TableTeacher, fit_gbt, load_table_teacher,
                       probability_matrix, revenue_matrix)
 
 
-def _parse_gbt_config(text: str, seed: int) -> GbtConfig:
-    kwargs = {"seed": seed}
+def _parse_gbt_config(text: str) -> GbtConfig:
+    kwargs = {}
     if text:
         for item in text.split(","):
             key, _, value = item.partition("=")
             if key == "learning_rate":
                 kwargs[key] = float(value)
-            elif key in ("rounds", "max_leaves", "min_child_samples", "seed"):
+            elif key in ("rounds", "max_leaves", "min_child_samples"):
                 kwargs[key] = int(value)
             else:
                 raise DataError(f"unknown gbt option {key!r}")
@@ -41,7 +42,7 @@ def _make_teacher(source: str, data, grid, seed: int):
     """Parse gbt[:opts] | table:<path> | oracle:<spec_id> into a teacher."""
     kind, _, rest = source.partition(":")
     if kind == "gbt":
-        return fit_gbt(data, _parse_gbt_config(rest, seed))
+        return fit_gbt(data, _parse_gbt_config(rest))
     if kind == "table":
         teacher = load_table_teacher(rest, grid)
         if data is not None and teacher.probs.shape[0] != data.n:
@@ -50,7 +51,7 @@ def _make_teacher(source: str, data, grid, seed: int):
         return teacher
     if kind == "oracle":
         return synth.oracle_teacher(synth.make_spec(int(rest), seed))
-    raise DataError(f"unknown teacher source {source!r}")
+    raise DataError(f"unknown teacher or truth source {source!r}")
 
 
 def _parse_grid(flag: str, data):
@@ -74,57 +75,45 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     data = load_csv(args.data)
     grid = _parse_grid(args.grid, data)
-    if args.minsplit is not None:
-        config = FitConfig(max_depth=None, minsplit=args.minsplit,
-                           min_leaf=max(1, args.minsplit // 3))
-    else:
-        config = FitConfig(max_depth=args.depth, minsplit=2, min_leaf=1)
+    config = FitConfig.for_knob(args.depth, args.minsplit)
     flags = {"data": args.data, "method": args.method, "grid": args.grid,
              "depth": args.depth, "minsplit": args.minsplit, "seed": args.seed,
              "teacher": args.teacher}
 
-    def teacher_probs():
-        """The teacher and its probabilities P[i, k] = f(x_i, p_k)."""
+    if args.method in ("spt", "naive", "const"):
         teacher = _make_teacher(args.teacher, data, grid, args.seed)
-        if isinstance(teacher, TableTeacher):
-            return teacher, teacher.probs
-        return teacher, probability_matrix(teacher, data.features, grid)
-
+        probs = (teacher.probs if isinstance(teacher, TableTeacher)  # P[i, k]
+                 else probability_matrix(teacher, data.features, grid))
     if args.method == "spt":
-        teacher, probs = teacher_probs()
         revmat = revenue_matrix(teacher, data.features, grid, probs)
         tree = fit_spt(data.features, revmat, config, data.feature_names)
     elif args.method == "pt":
         assign = baselines.assign_treatments(data.prices, grid)
         tree = baselines.fit_pt(data, grid, assign, config)
     elif args.method == "naive":
-        teacher, probs = teacher_probs()
         tree = baselines.fit_naive_distill(teacher, data.features, grid,
                                            config, data.feature_names,
                                            targets=probs)
     elif args.method == "const":
-        teacher, probs = teacher_probs()
         revmat = revenue_matrix(teacher, data.features, grid, probs)
         tree = baselines.constant_price_policy(revmat)
     elif args.method == "ct":
         assign = baselines.assign_treatments(data.prices, grid)
         policy = baselines.fit_ct_one_vs_all(data, grid, assign, config, args.seed)
-        doc = json.loads(baselines.export_one_vs_all(policy))
-        doc["meta"] = flags
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
-        print(f"wrote {args.out}: one-vs-all policy, {len(policy.trees)} trees, "
-              f"mean_leaves={policy.n_leaves_mean:.1f}")
-        return 0
     else:
         raise DataError(f"unknown method {args.method!r}")
 
-    doc = json.loads(export_tree(tree, "json"))
-    doc["meta"] = flags
+    if args.method == "ct":
+        text = baselines.export_one_vs_all(policy)
+        summary = (f"one-vs-all policy, {len(policy.trees)} trees, "
+                   f"mean_leaves={policy.n_leaves_mean:.1f}")
+    else:
+        text = export_tree(tree, "json")
+        summary = (f"training_revenue_per_item="
+                   f"{training_revenue(tree) / data.n:.6f} n_leaves={tree.n_leaves}")
     with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-    print(f"wrote {args.out}: training_revenue_per_item="
-          f"{training_revenue(tree) / data.n:.6f} n_leaves={tree.n_leaves}")
+        json.dump({**json.loads(text), "meta": flags}, f, indent=2)
+    print(f"wrote {args.out}: {summary}")
     return 0
 
 
@@ -147,25 +136,12 @@ def _load_policy(path):
 def cmd_evaluate(args) -> int:
     policy, doc = _load_policy(args.tree)
     data = load_csv(args.data)
-    kind, _, rest = args.truth.partition(":")
     prices = policy.prescribe(data.features)
-    if kind == "oracle":
-        spec = synth.make_spec(int(rest), args.seed)
-        truth = synth.oracle_teacher(spec)
-        probs = truth.predict_proba_batch(data.features, prices)
-    elif kind == "table":
-        grid = explicit_grid(doc["price_grid"])
-        truth = load_table_teacher(rest, grid)
-        if truth.probs.shape[0] != data.n:
-            raise DataError(
-                f"table truth has {truth.probs.shape[0]} rows, data has {data.n}")
-        rows = np.arange(data.n, dtype=np.float64)[:, None]
-        probs = truth.predict_proba_batch(rows, prices)
-    elif kind == "gbt":
-        truth = fit_gbt(data, _parse_gbt_config(rest, args.seed))
-        probs = truth.predict_proba_batch(data.features, prices)
-    else:
-        raise DataError(f"unknown truth source {args.truth!r}")
+    truth = _make_teacher(args.truth, data, explicit_grid(doc["price_grid"]),
+                          args.seed)
+    X = (np.arange(data.n, dtype=np.float64)[:, None]  # a table is row-indexed
+         if isinstance(truth, TableTeacher) else data.features)
+    probs = truth.predict_proba_batch(X, prices)
     value = float(np.mean(prices * probs))
     print(f"{value:.6f}")
     if args.out:
@@ -185,14 +161,9 @@ def cmd_experiment(args) -> int:
     experiments.write_results_csv(rows, results_path)
     with open(os.path.join(args.out_dir, "plan_echo.json"), "w",
               encoding="utf-8") as f:
-        json.dump({"name": plan.name, "specs": list(plan.specs),
-                   "n_train": list(plan.n_train),
-                   "depths": None if plan.depths is None else list(plan.depths),
-                   "minsplits": (None if plan.minsplits is None
-                                 else list(plan.minsplits)),
-                   "reps": plan.reps, "base_seed": plan.base_seed,
-                   "policies": list(plan.policies), "teacher": plan.teacher,
-                   "truth": plan.truth, "n_test": plan.n_test}, f, indent=2)
+        echo = {fld.name: getattr(plan, fld.name) for fld in fields(plan)
+                if fld.name != "gbt"}
+        json.dump({"name": plan.name, **echo}, f, indent=2)
     def write_summary(name, reports):
         with open(os.path.join(args.out_dir, name), "w",
                   encoding="utf-8", newline="") as f:

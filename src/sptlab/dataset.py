@@ -232,13 +232,20 @@ def load_sale_history(path) -> SaleHistory:
     return SaleHistory(np.asarray(ts), np.asarray(ss), np.asarray(ps))
 
 
+def half_rows(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic row-disjoint halves of range(n), sorted, of size
+    ceil(n/2) and floor(n/2)."""
+    perm = CounterRng(seed).permutation(n)
+    cut = (n + 1) // 2
+    return np.sort(perm[:cut]), np.sort(perm[cut:])
+
+
 def split_halves(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic row-disjoint split into halves of size ceil(n/2), floor(n/2)."""
     if data.n < 2:
         raise DataError("need at least 2 rows to split")
-    perm = CounterRng(seed).permutation(data.n)
-    cut = (data.n + 1) // 2
-    return data.subset(np.sort(perm[:cut])), data.subset(np.sort(perm[cut:]))
+    first, second = half_rows(data.n, seed)
+    return data.subset(first), data.subset(second)
 
 
 def percentile_grid(prices) -> PriceGrid:

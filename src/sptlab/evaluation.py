@@ -10,8 +10,9 @@ import numpy as np
 
 from .dataset import PriceGrid
 from .rng import CounterRng
-from .spt import LeafNode, PolicyTree, SplitNode
-from .teacher import TeacherModel
+from .spt import LeafNode, PolicyTree
+from .teacher import TeacherModel, revenue_matrix
+from .tree import check_structure, grow_preorder
 
 
 @dataclass(frozen=True)
@@ -80,52 +81,30 @@ def hypercube_policy(truth_or_teacher: TeacherModel, grid: PriceGrid, k: int,
     # Cell index per axis: cell c covers ((c)/m, (c+1)/m], except cell 0
     # which also includes 0. Matches "left iff x <= s" routing at s = c/m.
     cells = np.clip(np.ceil(X * m).astype(np.int64) - 1, 0, m - 1)
-    flat = np.zeros(X.shape[0], dtype=np.int64)
-    for j in range(d):
-        flat = flat * m + cells[:, j]
-
-    rev = np.column_stack(
-        [grid.prices[i] * truth_or_teacher.predict_proba_batch(X, float(grid.prices[i]))
-         for i in range(grid.m)])
+    flat = np.ravel_multi_index(tuple(cells.T), (m,) * d)
+    rev = revenue_matrix(truth_or_teacher, X, grid).values
     cell_sums = np.zeros((m ** d, grid.m))
     np.add.at(cell_sums, flat, rev)
     cell_counts = np.bincount(flat, minlength=m ** d)
 
-    nodes: list = []
-
-    def rec(lo, hi):
-        if all(h - l == 1 for l, h in zip(lo, hi)):
-            idx = 0
-            for j in range(d):
-                idx = idx * m + lo[j]
-            if cell_counts[idx] == 0:
-                nodes.append(LeafNode(float("nan"), 0.0, 0))
-            else:
-                kbest = int(np.argmax(cell_sums[idx]))
-                nodes.append(LeafNode(float(grid.prices[kbest]),
-                                      float(cell_sums[idx][kbest]),
-                                      int(cell_counts[idx])))
-            return len(nodes) - 1
+    def visit(cell):
+        lo, hi = cell
         extents = [h - l for l, h in zip(lo, hi)]
+        if all(e == 1 for e in extents):
+            idx = np.ravel_multi_index(lo, (m,) * d)
+            if cell_counts[idx] == 0:
+                return LeafNode(float("nan"), 0.0, 0)
+            kbest = int(np.argmax(cell_sums[idx]))
+            return LeafNode(float(grid.prices[kbest]),
+                            float(cell_sums[idx][kbest]), int(cell_counts[idx]))
         j = int(np.argmax(extents))
         mid = (lo[j] + hi[j]) // 2
-        nid = len(nodes)
-        nodes.append(None)
-        hi_left = list(hi)
-        hi_left[j] = mid
-        lo_right = list(lo)
-        lo_right[j] = mid
-        left = rec(lo, tuple(hi_left))
-        right = rec(tuple(lo_right), tuple(hi))
-        nodes[nid] = SplitNode(j, mid / m, left, right)
-        return nid
+        return (j, mid / m, (lo, hi[:j] + (mid,) + hi[j + 1:]),
+                (lo[:j] + (mid,) + lo[j + 1:], hi))
 
-    root = rec(tuple([0] * d), tuple([m] * d))
+    nodes = grow_preorder(((0,) * d, (m,) * d), visit)
     names = tuple(f"x{i}" for i in range(d))
-    depth = d * int(round(math.log2(m))) if m > 1 else 0
-    tree = PolicyTree(nodes, root, names, grid.prices, depth)
-    tree.validate()
-    return tree
+    return PolicyTree(nodes, 0, names, grid.prices, check_structure(nodes, 0))
 
 
 _MAX_LATTICE_POINTS = 2_000_000  # 101 per axis: d=3 has 1,030,301, d=4 about 10**8
@@ -203,10 +182,7 @@ def verify_regret_bound(truth: TeacherModel, grid: PriceGrid, k: int, d: int,
     prescribed = policy.prescribe(tests)
     rev_hat = prescribed * truth.predict_proba_batch(tests, prescribed)
 
-    rev_all = np.column_stack(
-        [grid.prices[i] * truth.predict_proba_batch(tests, float(grid.prices[i]))
-         for i in range(grid.m)])
-    rev_star = rev_all.max(axis=1)
+    rev_star = revenue_matrix(truth, tests, grid).values.max(axis=1)
 
     regret = float((rev_star - rev_hat).max())
     L = numeric_lipschitz(truth, d, grid)

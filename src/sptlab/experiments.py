@@ -7,7 +7,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -72,43 +72,73 @@ class ExperimentPlan:
         return tuple(self.base_seed + i for i in range(self.reps))
 
 
-def plan_from_dict(doc: dict) -> ExperimentPlan:
-    doc = dict(doc)
-    known = {"specs", "n_train", "depths", "minsplits", "reps", "base_seed",
-             "policies", "teacher", "truth", "n_test", "gbt", "name"}
-    unknown = set(doc) - known
+# The JSON kind of each plan field: a type, a one-element list for a list of
+# that kind, or a tuple of alternatives (None for null).
+_PLAN_KINDS = {"specs": [int], "n_train": (int, [int]), "depths": (None, [int]),
+               "minsplits": (None, [int]), "reps": int, "base_seed": int,
+               "policies": [str], "teacher": str, "truth": str, "n_test": int,
+               "gbt": (None, dict), "name": str}
+_GBT_KINDS = {f.name: type(f.default) for f in fields(GbtConfig)}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_is_kind(value, k) for k in kind)
+    if isinstance(kind, list):
+        return (isinstance(value, (list, tuple))
+                and all(_is_kind(v, kind[0]) for v in value))
+    if kind is None:
+        return value is None
+    allowed = (int, float) if kind is float else kind
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def _check_fields(doc, kinds: dict, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise PlanError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(kinds)
     if unknown:
-        raise PlanError(f"unknown plan fields {sorted(unknown)}")
-    kwargs: dict = {}
-    if doc.get("gbt"):
-        kwargs["gbt"] = GbtConfig(**doc["gbt"])
-    for k in ("specs", "policies"):
-        if k in doc:
-            kwargs[k] = tuple(doc[k])
-    if "n_train" in doc:
-        v = doc["n_train"]
-        kwargs["n_train"] = tuple(v) if isinstance(v, (list, tuple)) else (int(v),)
-    for k in ("depths", "minsplits"):
-        if k in doc:
-            kwargs[k] = None if doc[k] is None else tuple(doc[k])
+        raise PlanError(f"unknown {where} fields {sorted(unknown)}")
+    for key, value in doc.items():
+        if not _is_kind(value, kinds[key]):
+            raise PlanError(f"{where} field {key!r}: bad value {value!r}")
+
+
+def plan_from_dict(doc: dict) -> ExperimentPlan:
+    """A plan from its parsed JSON; a PlanError naming the field for an
+    unknown field or a value of the wrong JSON kind."""
+    _check_fields(doc, _PLAN_KINDS, "plan")
+    kwargs = {k: tuple(v) if isinstance(v, (list, tuple)) else v
+              for k, v in doc.items() if k != "gbt"}
+    if isinstance(kwargs.get("n_train"), int):
+        kwargs["n_train"] = (kwargs["n_train"],)
     if kwargs.get("minsplits") is not None and "depths" not in doc:
         kwargs["depths"] = None
-    for k in ("reps", "base_seed", "teacher", "truth", "n_test", "name"):
-        if k in doc:
-            kwargs[k] = doc[k]
+    if doc.get("gbt"):
+        _check_fields(doc["gbt"], _GBT_KINDS, "gbt")
+        try:
+            kwargs["gbt"] = GbtConfig(**doc["gbt"])
+        except ValueError as exc:
+            raise PlanError(f"gbt: {exc}") from None
     return ExperimentPlan(**kwargs)
 
 
 def load_plan(path_or_name) -> ExperimentPlan:
-    """Load a plan JSON from a path, or a bundled plan by bare name."""
+    """Load a plan JSON from a path, or a bundled plan by bare name; a bad
+    plan raises a PlanError naming it."""
     path = str(path_or_name)
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as f:
-            return plan_from_dict(json.load(f))
-    bundled = resources.files("sptlab").joinpath(f"plans/{path}.json")
-    if bundled.is_file():
-        return plan_from_dict(json.loads(bundled.read_text(encoding="utf-8")))
-    raise PlanError(f"no plan file or bundled plan named {path!r}")
+            text = f.read()
+    else:
+        bundled = resources.files("sptlab").joinpath(f"plans/{path}.json")
+        if not bundled.is_file():
+            raise PlanError(f"no plan file or bundled plan named {path!r}")
+        text = bundled.read_text(encoding="utf-8")
+    try:
+        return plan_from_dict(json.loads(text))
+    except ValueError as exc:  # PlanError and JSON syntax errors
+        raise PlanError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -125,15 +155,6 @@ class EvaluationReport:
     min_revenue: float
     std_error: float
     n_reps: int
-    config: dict = field(default_factory=dict)
-
-
-def _fit_config(depth, minsplit) -> FitConfig:
-    if minsplit is not None:
-        # rpart's minbucket convention: children must hold minsplit/3 rows
-        return FitConfig(max_depth=None, minsplit=minsplit,
-                         min_leaf=max(1, minsplit // 3))
-    return FitConfig(max_depth=depth, minsplit=2, min_leaf=1)
 
 
 @dataclass(frozen=True)
@@ -192,46 +213,35 @@ def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
     if inputs is None:
         inputs = prepare_cell_inputs(plan, spec_id, n, seed)
     learn, test, truth, grid = inputs.learn, inputs.test, inputs.truth, inputs.grid
-    config = _fit_config(depth, minsplit)
+    config = FitConfig.for_knob(depth, minsplit)
 
     rows = []
     for name in plan.policies:
-        n_leaves = 0
         if name == "spt":
-            tree = fit_spt(learn.features, inputs.revmat, config, learn.feature_names)
-            rev = expected_revenue(tree, test.features, truth)
-            n_leaves = tree.n_leaves
+            policy = fit_spt(learn.features, inputs.revmat, config, learn.feature_names)
         elif name == "pt":
-            tree = baselines.fit_pt(learn, grid, inputs.assign, config)
-            rev = expected_revenue(tree, test.features, truth)
-            n_leaves = tree.n_leaves
+            policy = baselines.fit_pt(learn, grid, inputs.assign, config)
         elif name == "ct":
             policy = baselines.fit_ct_one_vs_all(learn, grid, inputs.assign, config,
                                                  derive_seed(seed, _SALT_CT))
-            rev = expected_revenue(policy, test.features, truth)
-            n_leaves = policy.n_leaves_mean
         elif name == "naive":
-            tree = baselines.fit_naive_distill(inputs.teacher, learn.features,
-                                               grid, config, learn.feature_names,
-                                               targets=inputs.probs)
-            rev = expected_revenue(tree, test.features, truth)
-            n_leaves = tree.n_leaves
+            policy = baselines.fit_naive_distill(inputs.teacher, learn.features,
+                                                 grid, config, learn.feature_names,
+                                                 targets=inputs.probs)
         elif name == "teacher":
-            rev = expected_revenue(TeacherGridPolicy(inputs.teacher, grid),
-                                   test.features, truth)
+            policy = TeacherGridPolicy(inputs.teacher, grid)
         elif name == "const":
-            tree = baselines.constant_price_policy(inputs.revmat)
-            rev = expected_revenue(tree, test.features, truth)
-            n_leaves = 1
+            policy = baselines.constant_price_policy(inputs.revmat)
         elif name == "optimal":
             fine = synth.fine_price_grid(float(grid.prices[0]),
                                          float(grid.prices[-1]), 1000)
-            rev = expected_revenue(synth.OraclePolicy(inputs.spec, fine),
-                                   test.features, truth)
-        elif name == "no_change":
-            rev = baselines.historical_policy_revenue(test, truth)
-        else:  # pragma: no cover - guarded by plan validation
-            raise PlanError(f"unknown policy {name}")
+            policy = synth.OraclePolicy(inputs.spec, fine)
+        else:  # no_change; plan validation rules out other names
+            policy = None
+        rev = (baselines.historical_policy_revenue(test, truth) if policy is None
+               else expected_revenue(policy, test.features, truth))
+        # mean leaves per one-vs-all tree for ct, 0 for non-tree policies
+        n_leaves = getattr(policy, "n_leaves_mean", getattr(policy, "n_leaves", 0))
         rows.append({"spec": spec_id, "policy": name,
                      "depth": -1 if depth is None else depth,
                      "minsplit": config.minsplit, "n_train": n, "seed": seed,
@@ -291,8 +301,7 @@ def aggregate(rows: list[dict], pool_depths: bool = False) -> list[EvaluationRep
             spec=spec, policy=policy, depth=depth, minsplit=minsplit,
             n_train=n_train, mean_revenue=float(revs.mean()),
             max_revenue=float(revs.max()), min_revenue=float(revs.min()),
-            std_error=se, n_reps=int(revs.size),
-            config={"pooled": pool_depths}))
+            std_error=se, n_reps=int(revs.size)))
     return reports
 
 

@@ -12,19 +12,20 @@ to row order.
 
 The same engine drives the baseline trees (different node criteria plugged
 into ``grow_tree``). Each fit sorts every feature once and hands each node
-its rows in feature order (``sptlab.presort``).
+its rows in feature order (``sptlab.tree``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataError
-from .presort import presort, split_orders
 from .teacher import RevenueMatrix
+from .tree import (SplitNode, apply, check_structure, grow_preorder,
+                   json_field, leaf_values, nodes_from_json, nodes_to_json,
+                   presort, split_orders)
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,19 @@ class FitConfig:
         if self.minsplit < 2 * self.min_leaf:
             raise ValueError("minsplit must be >= 2 * min_leaf")
 
+    @classmethod
+    def for_knob(cls, depth, minsplit) -> "FitConfig":
+        """A sweep's depth cap, or with ``minsplit`` set, unbounded depth
+        under rpart's minbucket convention (children hold minsplit // 3 rows)."""
+        if minsplit is not None:
+            return cls(max_depth=None, minsplit=minsplit,
+                       min_leaf=max(1, minsplit // 3))
+        return cls(max_depth=depth, minsplit=2, min_leaf=1)
 
-@dataclass(frozen=True)
-class SplitNode:
-    feature: int
-    threshold: float
-    left: int
-    right: int
+    def can_split(self, depth: int, n_rows: int) -> bool:
+        """Whether a node at ``depth`` holding ``n_rows`` rows may split."""
+        return ((self.max_depth is None or depth < self.max_depth)
+                and n_rows >= self.minsplit)
 
 
 @dataclass(frozen=True)
@@ -83,42 +90,13 @@ class PolicyTree:
     max_depth_used: int
 
     def predict_price(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        nid = self.root
-        while isinstance(self.nodes[nid], SplitNode):
-            node = self.nodes[nid]
-            if node.feature >= x.size:
-                raise ValueError(
-                    f"feature vector of dim {x.size} too short for split on "
-                    f"feature {node.feature}")
-            nid = node.left if x[node.feature] <= node.threshold else node.right
-        leaf = self.nodes[nid]
-        if np.isnan(leaf.price):
-            raise EmptyLeafError("routed to an unpriced (empty) leaf")
-        return float(leaf.price)
+        return float(self.prescribe(np.reshape(x, (1, -1)))[0])
 
     def prescribe(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty(X.shape[0])
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            nid, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            node = self.nodes[nid]
-            if isinstance(node, LeafNode):
-                if np.isnan(node.price):
-                    raise EmptyLeafError("routed to an unpriced (empty) leaf")
-                out[idx] = node.price
-                continue
-            if node.feature >= X.shape[1]:
-                raise ValueError(
-                    f"feature matrix of dim {X.shape[1]} too narrow for split on "
-                    f"feature {node.feature}")
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        prices = leaf_values(self.nodes, self.root, X, "price")
+        if np.isnan(prices).any():
+            raise EmptyLeafError("routed to an unpriced (empty) leaf")
+        return prices
 
     @property
     def n_leaves(self) -> int:
@@ -126,54 +104,32 @@ class PolicyTree:
 
     def leaf_rows(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by each row of X."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            nid, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            node = self.nodes[nid]
-            if isinstance(node, LeafNode):
-                out[idx] = nid
-                continue
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        return apply(self.nodes, self.root, X)
 
-    def validate(self) -> None:
-        check_structure(self.nodes, self.root)
+    def validate(self) -> int:
+        """The tree's depth; a DataError if it is not a proper binary tree."""
+        return check_structure(self.nodes, self.root)
 
 
-def check_structure(nodes, root) -> None:
-    """Check proper binary structure: acyclic, all nodes reachable once."""
-    seen = set()
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            raise DataError("tree has a repeated/reachable-twice node")
-        seen.add(nid)
-        node = nodes[nid]
-        if isinstance(node, SplitNode):
-            stack.extend((node.left, node.right))
-    if len(seen) != len(nodes):
-        raise DataError("tree has unreachable nodes")
-
-
-class _RevenueCriterion:
-    """max-over-prices column-sum score for the student prescriptive tree."""
-
-    def __init__(self, revmat: RevenueMatrix):
-        self.stats = revmat.values
-        self.grid = revmat.grid
+class StatsCriterion:
+    """A node criterion over per-row statistics ``self.stats``: a node is
+    scored from the column sums of its rows. Subclasses give
+    ``scores_batch(sums, counts)``, the scores of many nodes at once, and
+    policy-tree criteria ``leaf_payload(sums, count)`` -> (price, revenue_sum)."""
 
     def node_sums(self, rows):
         return self.stats[rows].sum(axis=0)
 
     def node_score(self, sums, count):
-        return float(sums.max())
+        return float(self.scores_batch(sums[None, :], np.asarray([count]))[0])
+
+
+class _RevenueCriterion(StatsCriterion):
+    """max-over-prices column-sum score for the student prescriptive tree."""
+
+    def __init__(self, revmat: RevenueMatrix):
+        self.stats = revmat.values
+        self.grid = revmat.grid
 
     def scores_batch(self, sums, counts):
         return sums.max(axis=1)
@@ -226,37 +182,22 @@ def best_split_generic(features, rows, config: FitConfig, crit, orders=None):
     return best
 
 
-def grow_preorder(root, visit) -> list:
-    """Nodes of a tree grown top-down, numbered in preorder.
-
-    ``visit(state)`` returns a leaf node, or ``(feature, threshold,
-    left_state, right_state)`` to split. Only pending right children wait
-    on the stack, so with disjoint row sets the live states of a fit hold
-    each row at most about twice.
-    """
-    nodes: list = []
-    stack = [(root, None)]
-    while stack:
-        state, parent = stack.pop()
-        nid = len(nodes)
-        if parent is not None:  # a right child completes its parent
-            nodes[parent] = replace(nodes[parent], right=nid)
-        got = visit(state)
-        if isinstance(got, tuple):  # unpacked names would outlive the states
-            nodes.append(SplitNode(got[0], got[1], nid + 1, -1))
-            stack.append((got[3], nid))
-            stack.append((got[2], None))
-        else:
-            nodes.append(got)
-    return nodes
-
-
-def split_rows(features, rows, orders, cand: SplitCandidate):
-    """(left, right) children of a node as (rows, orders) pairs."""
+def split_node(features, rows, orders, depth: int, config: FitConfig, crit):
+    """A grower's step at a node of ``depth`` with ``orders`` =
+    ``presort(features, rows)``: None if the node stays a leaf, else its
+    best split and the (rows, orders) pairs of its left and right children.
+    A child that cannot split gets None for its orders."""
+    if not config.can_split(depth, rows.size):
+        return None
+    cand = best_split_generic(features, rows, config, crit, orders)
+    if cand is None:
+        return None
     go_left = features[rows, cand.feature_index] <= cand.threshold
-    left_orders, right_orders = split_orders(orders, rows[go_left],
-                                             features.shape[0])
-    return (rows[go_left], left_orders), (rows[~go_left], right_orders)
+    left, right = rows[go_left], rows[~go_left]
+    keep = (config.can_split(depth + 1, left.size),
+            config.can_split(depth + 1, right.size))
+    left_orders, right_orders = split_orders(orders, left, features.shape[0], keep)
+    return cand, (left, left_orders), (right, right_orders)
 
 
 def grow_tree(features, crit, config: FitConfig,
@@ -266,20 +207,14 @@ def grow_tree(features, crit, config: FitConfig,
     n, d = features.shape
     names = tuple(feature_names) if feature_names is not None \
         else tuple(f"x{i}" for i in range(d))
-    max_depth_seen = 0
 
     def visit(state):
-        nonlocal max_depth_seen
         rows, orders, depth = state
-        max_depth_seen = max(max_depth_seen, depth)
-        cand = None
-        depth_ok = config.max_depth is None or depth < config.max_depth
-        if depth_ok and rows.size >= config.minsplit:
-            cand = best_split_generic(features, rows, config, crit, orders)
-        if cand is None:
+        got = split_node(features, rows, orders, depth, config, crit)
+        if got is None:
             price, revsum = crit.leaf_payload(crit.node_sums(rows), rows.size)
             return LeafNode(price, revsum, int(rows.size))
-        left, right = split_rows(features, rows, orders, cand)
+        cand, left, right = got
         return (cand.feature_index, cand.threshold,
                 (*left, depth + 1), (*right, depth + 1))
 
@@ -287,9 +222,7 @@ def grow_tree(features, crit, config: FitConfig,
     nodes = grow_preorder((rows, presort(features, rows), 0), visit)
     grid = np.asarray(grid_prices, dtype=np.float64) if grid_prices is not None \
         else np.unique([nd.price for nd in nodes if isinstance(nd, LeafNode)])
-    tree = PolicyTree(nodes, 0, names, grid, max_depth_seen)
-    tree.validate()
-    return tree
+    return PolicyTree(nodes, 0, names, grid, check_structure(nodes, 0))
 
 
 def leaf_revenue(revmat: RevenueMatrix, rows) -> tuple[int, float]:
@@ -319,10 +252,6 @@ def fit_spt(features, revmat: RevenueMatrix, config: FitConfig,
                      feature_names, revmat.grid.prices)
 
 
-def predict_price(tree: PolicyTree, x) -> float:
-    return tree.predict_price(x)
-
-
 def training_revenue(tree: PolicyTree) -> float:
     """Total predicted revenue sum over all leaves (training objective)."""
     return float(sum(n.revenue_sum for n in tree.nodes if isinstance(n, LeafNode)))
@@ -331,19 +260,9 @@ def training_revenue(tree: PolicyTree) -> float:
 def export_tree(tree: PolicyTree, format: str = "json") -> str:
     """Serialize to the documented JSON schema or to Graphviz DOT."""
     if format == "json":
-        nodes = []
-        for i, node in enumerate(tree.nodes):
-            if isinstance(node, SplitNode):
-                nodes.append({"id": i, "kind": "split", "feature": node.feature,
-                              "threshold": node.threshold,
-                              "left": node.left, "right": node.right})
-            else:
-                nodes.append({"id": i, "kind": "leaf", "price": node.price,
-                              "revenue_sum": node.revenue_sum,
-                              "n_train": node.n_train})
         doc = {"feature_names": list(tree.feature_names),
                "price_grid": [float(p) for p in tree.grid_prices],
-               "nodes": nodes, "root": tree.root}
+               **nodes_to_json(tree.nodes, tree.root)}
         return json.dumps(doc, indent=2)
     if format == "dot":
         lines = ["digraph policy_tree {"]
@@ -369,91 +288,13 @@ def _float_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def json_field(doc, key: str, where: str, kind=None):
-    """``doc[key]``, converted by ``kind`` when given; a DataError naming
-    ``where`` if the key is missing or its value does not convert."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise DataError(f"{where}: missing key {key!r}")
-    if kind is None:
-        return doc[key]
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError):
-        raise DataError(f"{where}: bad {key!r} value {doc[key]!r}") from None
-
-
-def nodes_from_json(doc, make_leaf, where: str, n_features: int | None = None):
-    """Decode the ``nodes`` list and ``root`` of one serialized tree.
-
-    ``make_leaf(nd, at)`` builds a leaf from its dict. Raises DataError
-    naming the node for a missing key, an id, child or root outside the node
-    list, a repeated id, or a split feature at or past ``n_features``, and
-    naming the tree if it is not a proper binary tree.
-    """
-    raw = json_field(doc, "nodes", where)
-    root = json_field(doc, "root", where, int)
-    if not isinstance(raw, list):
-        raise DataError(f"{where}: 'nodes' must be a list")
-    n = len(raw)
-    nodes: list = [None] * n
-    for pos, nd in enumerate(raw):
-        at = f"{where} node {pos}"
-        nid = json_field(nd, "id", at, int)
-        if not 0 <= nid < n or nodes[nid] is not None:
-            raise DataError(f"{at}: id {nid} is repeated or outside 0..{n - 1}")
-        kind = json_field(nd, "kind", at)
-        if kind == "split":
-            node = SplitNode(json_field(nd, "feature", at, int),
-                             json_field(nd, "threshold", at, float),
-                             json_field(nd, "left", at, int),
-                             json_field(nd, "right", at, int))
-            for child in (node.left, node.right):
-                if not 0 <= child < n:
-                    raise DataError(f"{at}: child id {child} outside 0..{n - 1}")
-            if node.feature < 0 or (n_features is not None
-                                    and node.feature >= n_features):
-                known = "" if n_features is None else f" for {n_features} feature names"
-                raise DataError(f"{at}: split feature {node.feature} out of range{known}")
-        elif kind == "leaf":
-            node = make_leaf(nd, at)
-        else:
-            raise DataError(f"{at}: unknown node kind {kind!r}")
-        nodes[nid] = node
-    if not 0 <= root < n:
-        raise DataError(f"{where}: root id {root} outside 0..{n - 1}")
-    try:
-        check_structure(nodes, root)
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from None
-    return nodes, root
-
-
 def tree_from_json(text: str) -> PolicyTree:
     """Inverse of export_tree(..., 'json')."""
     doc = json.loads(text)
     names = json_field(doc, "feature_names", "tree", tuple)
     grid = json_field(doc, "price_grid", "tree", _float_array)
-
-    def leaf(nd, at):
-        return LeafNode(json_field(nd, "price", at, float),
-                        json_field(nd, "revenue_sum", at, float),
-                        json_field(nd, "n_train", at, int))
-
-    nodes, root = nodes_from_json(doc, leaf, "tree", len(names))
-    return PolicyTree(nodes, root, names, grid, _tree_depth(nodes, root))
-
-
-def _tree_depth(nodes, root) -> int:
-    depth = 0
-    stack = [(root, 0)]
-    while stack:
-        nid, lvl = stack.pop()
-        depth = max(depth, lvl)
-        node = nodes[nid]
-        if isinstance(node, SplitNode):
-            stack.append((node.left, lvl + 1))
-            stack.append((node.right, lvl + 1))
-    return depth
+    nodes, root, depth = nodes_from_json(doc, LeafNode, "tree", len(names))
+    return PolicyTree(nodes, root, names, grid, depth)
 
 
 def single_leaf_tree(price: float, revenue_sum: float = 0.0, n_train: int = 0,

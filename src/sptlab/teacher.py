@@ -22,7 +22,6 @@ class GbtConfig:
     learning_rate: float = 0.1
     max_leaves: int = 31
     min_child_samples: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -58,9 +57,8 @@ class TeacherModel(abc.ABC):
 class GradientBoostedTeacher(TeacherModel):
     """Boosted-tree demand model; price enters as an extra numeric feature."""
 
-    def __init__(self, booster: boosting.BoostedTrees, config: GbtConfig):
+    def __init__(self, booster: boosting.BoostedTrees):
         self.booster = booster
-        self.config = config
         self.n_features = booster.n_features - 1
 
     def predict_proba_batch(self, X, p, n_rounds: int | None = None):
@@ -73,8 +71,8 @@ class GradientBoostedTeacher(TeacherModel):
         boosting.save_boosted_trees(self.booster, path)
 
     @classmethod
-    def load(cls, path, config: GbtConfig | None = None) -> "GradientBoostedTeacher":
-        return cls(boosting.load_boosted_trees(path), config or GbtConfig())
+    def load(cls, path) -> "GradientBoostedTeacher":
+        return cls(boosting.load_boosted_trees(path))
 
 
 class OracleTeacher(TeacherModel):
@@ -167,7 +165,7 @@ def fit_gbt(train: Dataset, config: GbtConfig = GbtConfig()) -> GradientBoostedT
         aug, train.outcomes,
         rounds=config.rounds, learning_rate=config.learning_rate,
         max_leaves=config.max_leaves, min_child_samples=config.min_child_samples)
-    return GradientBoostedTeacher(booster, config)
+    return GradientBoostedTeacher(booster)
 
 
 # Rows per stacked boosted-teacher pass. Stacking amortizes the per-node

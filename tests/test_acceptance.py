@@ -8,8 +8,7 @@ import pytest
 
 import conftest
 from sptlab.baselines import (assign_treatments, fit_ct_one_vs_all,
-                              fit_naive_distill, fit_pt, naive_training_mse,
-                              teacher_probability_targets)
+                              fit_naive_distill, fit_pt, naive_training_mse)
 from sptlab.dataset import PriceGrid, percentile_grid
 from sptlab.evaluation import expected_revenue, verify_regret_bound
 from sptlab.experiments import load_plan, run_experiment
@@ -19,7 +18,8 @@ from sptlab.spt import (FitConfig, fit_spt, single_leaf_tree,
 from sptlab.synth import (SPEC_IDS, OraclePolicy, baseline_utility,
                           fine_price_grid, generate, make_spec, oracle_teacher,
                           price_sensitivity, standard_normal_cdf)
-from sptlab.teacher import OracleTeacher, fit_gbt, revenue_matrix
+from sptlab.teacher import (OracleTeacher, fit_gbt, probability_matrix,
+                            revenue_matrix)
 
 SEEDS = tuple(range(10))
 
@@ -257,7 +257,7 @@ def test_criterion_7_monotonicity_suite():
                 for k in range(6)]
         if not all(b >= a - 1e-9 for a, b in zip(revs, revs[1:])):
             bad.append((spec_id, "spt", [round(v, 3) for v in revs]))
-        targets = teacher_probability_targets(teacher, data.features, grid)
+        targets = probability_matrix(teacher, data.features, grid)
         mses = [naive_training_mse(
             fit_naive_distill(teacher, data.features, grid,
                               FitConfig(max_depth=k)),

@@ -5,11 +5,12 @@ from sptlab.baselines import (OneVsAllPolicy, assign_treatments,
                               constant_price_policy, export_one_vs_all,
                               fit_ct_one_vs_all, fit_naive_distill, fit_pt,
                               historical_policy_revenue, naive_training_mse,
-                              one_vs_all_from_json, teacher_probability_targets)
+                              one_vs_all_from_json)
 from sptlab.dataset import DataError, Dataset, PriceGrid
 from sptlab.spt import FitConfig, LeafNode, export_tree
 from sptlab.synth import generate, make_spec
-from sptlab.teacher import OracleTeacher, RevenueMatrix, fit_gbt, GbtConfig
+from sptlab.teacher import (OracleTeacher, RevenueMatrix, fit_gbt, GbtConfig,
+                            probability_matrix)
 
 
 def dataset_from(prices, outcomes, features=None):
@@ -194,7 +195,7 @@ def test_naive_leaf_prices_in_grid_and_mse_monotone():
     data = generate(spec, 800, 0)
     grid = PriceGrid(np.percentile(data.prices, [20, 50, 80]))
     teacher = fit_gbt(data, GbtConfig(rounds=10))
-    targets = teacher_probability_targets(teacher, data.features, grid)
+    targets = probability_matrix(teacher, data.features, grid)
     mses = []
     for depth in range(5):
         tree = fit_naive_distill(teacher, data.features, grid,
@@ -212,7 +213,7 @@ def test_naive_precomputed_targets_give_identical_tree():
     config = FitConfig(max_depth=None, minsplit=30, min_leaf=10)
     queried = fit_naive_distill(teacher, data.features, grid, config,
                                 data.feature_names)
-    targets = teacher_probability_targets(teacher, data.features, grid)
+    targets = probability_matrix(teacher, data.features, grid)
     given = fit_naive_distill(teacher, data.features, grid, config,
                               data.feature_names, targets=targets)
     assert export_tree(given, "json") == export_tree(queried, "json")

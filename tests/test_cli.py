@@ -230,6 +230,44 @@ def test_experiment_bad_plan(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "plan must be a JSON object, got list"),
+    ({"specs": [1], "gbt": {"bogus": 1}}, "unknown gbt fields ['bogus']"),
+    ({"specs": [1], "gbt": {"rounds": "x"}}, "gbt field 'rounds': bad value 'x'"),
+    ({"specs": [1], "reps": "2"}, "plan field 'reps': bad value '2'"),
+    ({"specs": [1], "depths": [1, "a"]}, "plan field 'depths': bad value [1, 'a']"),
+    ({"specs": [1], "gbt": {"rounds": 0}}, "gbt: rounds must be >= 1"),
+    ({"specs": [1], "gbt": {"seed": 3}}, "unknown gbt fields ['seed']"),
+])
+def test_experiment_malformed_plan_is_located_error(tmp_path, capsys, doc, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    assert run_cli("experiment", "--plan", str(plan),
+                   "--out-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {plan}: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_experiment_plan_json_syntax_error(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text("{\"specs\": [1],")
+    assert run_cli("experiment", "--plan", str(plan),
+                   "--out-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plan}: ")
+    assert "Traceback" not in err
+
+
+def test_gbt_seed_option_is_rejected(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    assert run_cli("synth", "--spec", "4", "--n", "200", "--out", str(data)) == 0
+    assert run_cli("fit", "--data", str(data), "--method", "spt",
+                   "--teacher", "gbt:rounds=2,seed=3",
+                   "--out", str(tmp_path / "t.json")) == 1
+    assert "unknown gbt option 'seed'" in capsys.readouterr().err
+
+
 def split_tree_doc(**split):
     """A one-split tree on feature x0 as a JSON-ready dict."""
     node = {"id": 0, "kind": "split", "feature": 0, "threshold": 0.5,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from sptlab.evaluation import (RegretBoundParams, expected_revenue,
                                hypercube_policy, hypercube_side_count,
                                numeric_lipschitz, policy_mse, regret_bound,
                                verify_regret_bound)
-from sptlab.spt import EmptyLeafError, LeafNode, single_leaf_tree
+from sptlab.spt import EmptyLeafError, LeafNode, export_tree, single_leaf_tree
 from sptlab.synth import (OraclePolicy, fine_price_grid, generate, make_spec,
                           oracle_teacher, standard_normal_cdf)
 from sptlab.teacher import OracleTeacher
@@ -142,6 +144,26 @@ def test_hypercube_probe_domain_check():
     grid = fine_price_grid(0.1, 1.5, 10)
     with pytest.raises(ValueError):
         hypercube_policy(truth, grid, 2, 2, np.asarray([[1.2, 0.0]]))
+
+
+# Recorded from the recursive cell builder; the preorder grower must write
+# the same JSON, empty (unpriced) cells included.
+HYPERCUBE_D2_K4_SHA256 = {
+    "full": "b6b2693c9630cd39b47b734e90dca76359ecf872a854cff653ee89a6a1278928",
+    "sparse": "f4d5b556471adb80b5ad4105016af1534129e3d16cba8f93ff080a2531f059a5",
+}
+
+
+def test_hypercube_d2_k4_json_pinned():
+    truth = designed_truth()
+    full = hypercube_policy(truth, fine_price_grid(0.1, 1.5, 30), 4, 2,
+                            np.random.default_rng(0).uniform(size=(4000, 2)))
+    sparse = hypercube_policy(truth, fine_price_grid(0.1, 1.5, 10), 4, 2,
+                              np.asarray([[0.1, 0.1], [0.9, 0.9]]))
+    for name, tree in (("full", full), ("sparse", sparse)):
+        digest = hashlib.sha256(export_tree(tree).encode()).hexdigest()
+        assert digest == HYPERCUBE_D2_K4_SHA256[name], name
+        assert tree.max_depth_used == 4
 
 
 # --- verify_regret_bound -------------------------------------------------------------

@@ -20,7 +20,7 @@ from sptlab.baselines import (EffectLeaf, EffectTree, OneVsAllPolicy,
                               export_one_vs_all, fit_ct_one_vs_all,
                               fit_naive_distill, fit_pt)
 from sptlab.dataset import Dataset, percentile_grid
-from sptlab.presort import presort, split_orders
+from sptlab.tree import presort, split_orders
 from sptlab.rng import CounterRng
 from sptlab.spt import (FitConfig, LeafNode, PolicyTree, SplitCandidate,
                         SplitNode, _RevenueCriterion, export_tree, fit_spt)

@@ -4,7 +4,7 @@ import pytest
 from sptlab.dataset import PriceGrid
 from sptlab.spt import (EmptyLeafError, FitConfig, LeafNode, PolicyTree,
                         SplitNode, best_split, export_tree, fit_spt,
-                        leaf_revenue, predict_price, single_leaf_tree,
+                        leaf_revenue, single_leaf_tree,
                         training_revenue, tree_from_json)
 from sptlab.teacher import RevenueMatrix
 
@@ -104,15 +104,15 @@ def test_best_split_respects_min_leaf():
 def test_fit_depth0_single_leaf(toy_revmat, toy_features):
     tree = fit_spt(toy_features, toy_revmat, FitConfig(max_depth=0))
     assert tree.n_leaves == 1
-    assert predict_price(tree, [0.0]) == 10.0
+    assert tree.predict_price([0.0]) == 10.0
     assert training_revenue(tree) == 20.0
 
 
 def test_fit_toy_depth1_reaches_optimum(toy_revmat, toy_features):
     tree = fit_spt(toy_features, toy_revmat, FitConfig(max_depth=1))
     assert tree.n_leaves == 2
-    assert predict_price(tree, [0.0]) == 10.0
-    assert predict_price(tree, [1.0]) == 12.0
+    assert tree.predict_price([0.0]) == 10.0
+    assert tree.predict_price([1.0]) == 12.0
     assert training_revenue(tree) == 22.0  # 11 per customer
 
 
@@ -230,7 +230,7 @@ def test_fit_config_invariants():
 
 def test_predict_single_leaf_any_input():
     tree = single_leaf_tree(2.99)
-    assert predict_price(tree, [123.0, -5.0]) == 2.99
+    assert tree.predict_price([123.0, -5.0]) == 2.99
 
 
 def test_boundary_routes_left():

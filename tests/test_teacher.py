@@ -101,6 +101,63 @@ def test_gbt_file_bytes_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GBT_PIN_SHA256
 
 
+def _saved_model_lines(tmp_path):
+    data = generate(make_spec(4), 300, 0)
+    path = tmp_path / "model.txt"
+    fit_gbt(data, GbtConfig(rounds=3, min_child_samples=5)).save(path)
+    return path, path.read_text().splitlines()
+
+
+def _load_error(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as exc:
+        GradientBoostedTeacher.load(path)
+    return str(exc.value)
+
+
+def test_gbt_load_rejects_child_pointing_to_root(tmp_path):
+    path, lines = _saved_model_lines(tmp_path)
+    assert lines[6].startswith("0 split ")
+    parts = lines[6].split()
+    lines[6] = " ".join(parts[:4] + ["0", parts[5]])  # left child is the root
+    message = _load_error(path, lines)
+    assert message.startswith(f"{path} line 6: tree 0:")
+    assert "repeated" in message
+
+
+def test_gbt_load_rejects_child_out_of_range(tmp_path):
+    path, lines = _saved_model_lines(tmp_path)
+    n_nodes = int(lines[5].split()[2])
+    parts = lines[6].split()
+    lines[6] = " ".join(parts[:5] + [str(n_nodes + 4)])
+    message = _load_error(path, lines)
+    assert message == (f"{path} line 7: child id {n_nodes + 4} outside "
+                       f"0..{n_nodes - 1}")
+
+
+def test_gbt_load_rejects_truncated_file(tmp_path):
+    path, lines = _saved_model_lines(tmp_path)
+    message = _load_error(path, lines[:-3])
+    assert message.startswith(f"{path} line ")
+    assert "node lines" in message
+    message = _load_error(path, lines[:3])
+    assert message == f"{path} line 4: expected 'n_features <int>', got the end of the file"
+
+
+def test_gbt_load_rejects_bad_lines(tmp_path):
+    path, lines = _saved_model_lines(tmp_path)
+    bad_value = lines[:2] + ["learning_rate fast"] + lines[3:]
+    assert _load_error(path, bad_value) == \
+        f"{path} line 3: expected 'learning_rate <float>', got 'learning_rate fast'"
+    leaf = next(i for i, ln in enumerate(lines) if " leaf " in ln)
+    repeated = lines[:leaf] + ["0" + lines[leaf][lines[leaf].index(" "):]] + lines[leaf + 1:]
+    assert "id 0 is repeated" in _load_error(path, repeated)
+    parts = lines[6].split()
+    bad_feature = lines[:6] + [" ".join(parts[:2] + ["9"] + parts[3:])] + lines[7:]
+    assert _load_error(path, bad_feature) == \
+        f"{path} line 7: split feature 9 out of range for 3 feature names"
+
+
 def test_fit_training_margin_equals_predict_margin(monkeypatch):
     """The margin the fit updates from each tree's leaf partition equals
     the ensemble's predict_margin on the training rows, bit for bit."""
