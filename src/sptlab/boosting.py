@@ -5,7 +5,8 @@ g_i = sigmoid(F_i) - y_i and hessians h_i = sigmoid(F_i)(1 - sigmoid(F_i))
 are fitted by a tree grown leaf-wise (always splitting the leaf with the
 largest gain) up to ``max_leaves`` leaves, with exact split search over all
 observed feature values. A fit sorts each column once and every node reads
-its rows in that order (``sptlab.tree``). Leaf weight is -G/(H + l2);
+its rows in that order (``sptlab.tree``); a node scores all its features
+at once, in cache-sized chunks of features. Leaf weight is -G/(H + l2);
 split gain is G_L^2/(H_L + l2) + G_R^2/(H_R + l2) - G^2/(H + l2).
 
 Predictions are sigmoid(base_score + learning_rate * sum_t tree_t(x)), so
@@ -44,32 +45,45 @@ class Tree:
         return leaf_values(self.nodes, 0, X, "value")
 
 
-def _best_split(X, g, h, rows, orders, min_child, l2):
-    """Best (gain, feature, threshold) for one node, or None; ``orders`` is
-    the node's ``presort(X, rows)``."""
-    n = rows.size
-    if n < 2 * min_child:
+# Feature x row cells per chunk of the whole-node split search. A node with
+# more cells than this searches its features in chunks of at least one
+# feature. A chunk's blocks and temporaries take 48-64 bytes a cell, so a
+# call holds at most about 64 * max(_SPLIT_CELLS, n) bytes, 1 MB at 2**14
+# cells; blocks that small stay in a core's L2 cache, which measured faster
+# than whole-node blocks for d=20.
+_SPLIT_CELLS = 1 << 14
+
+
+def _best_split(X, g, h, orders, G, H, min_child, l2):
+    """Best (gain, feature, threshold) for one node, or None.
+
+    ``X`` is C-contiguous, ``orders`` the node's ``presort(X, rows)`` and
+    G, H the node's gradient and hessian sums. The features of a chunk are
+    scored at once: row j of a (features, rows) block is gathered through
+    ``orders[j]`` and cumulated left to right, so each gain adds the same
+    numbers in the same order as a sweep of feature j alone. Ties go to the
+    lowest feature, then the lowest threshold."""
+    d, n = orders.shape
+    m = max(min_child, 1)  # each side holds at least one row anyway
+    if n < 2 * m:
         return None
-    G, H = g[rows].sum(), h[rows].sum()
+    lo, hi = m - 1, n - m  # a split after sorted position i has i + 1 rows left
     parent = G * G / (H + l2)
     best = None
-    for j in range(X.shape[1]):
-        order = orders[j]
-        xs = X[order, j]
-        bnd = np.nonzero(xs[:-1] < xs[1:])[0]
-        if bnd.size == 0:
-            continue
-        n_left = bnd + 1
-        ok = (n_left >= min_child) & (n - n_left >= min_child)
-        bnd = bnd[ok]
-        if bnd.size == 0:
-            continue
-        gc = np.cumsum(g[order])[bnd]
-        hc = np.cumsum(h[order])[bnd]
+    step = max(1, _SPLIT_CELLS // n)
+    for j0 in range(0, d, step):
+        order = orders[j0:j0 + step]
+        # X.ravel()[r * d + j] is X[r, j]
+        xs = X.ravel()[order[:, :hi + 1] * d
+                       + np.arange(j0, j0 + order.shape[0])[:, None]]
+        gc = np.cumsum(g[order[:, :hi]], axis=1)[:, lo:]
+        hc = np.cumsum(h[order[:, :hi]], axis=1)[:, lo:]
         gains = gc * gc / (hc + l2) + (G - gc) ** 2 / (H - hc + l2) - parent
-        i = int(np.argmax(gains))
-        if gains[i] > _EPS_GAIN and (best is None or gains[i] > best[0]):
-            best = (float(gains[i]), j, float(xs[bnd[i]]))
+        gains[~(xs[:, lo:hi] < xs[:, lo + 1:])] = -np.inf  # not a value boundary
+        for k, i in enumerate(np.argmax(gains, axis=1)):
+            gain = gains[k, i]
+            if gain > _EPS_GAIN and (best is None or gain > best[0]):
+                best = (float(gain), j0 + k, float(xs[k, lo + i]))
     return best
 
 
@@ -85,7 +99,8 @@ def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
         G, H = g[rows].sum(), h[rows].sum()
         nodes.append(ValueLeaf(-G / (H + l2)))
         rows_of[nid] = rows
-        cand = _best_split(X, g, h, rows, orders, min_child, l2)
+        cand = (None if orders is None  # no orders: under 2 * min_child rows
+                else _best_split(X, g, h, orders, G, H, min_child, l2))
         if cand is not None:  # only leaves that may split keep their orders
             orders_of[nid] = orders
             heapq.heappush(heap, (-cand[0], nid, cand[1], cand[2]))  # ties: older leaf

@@ -25,42 +25,58 @@ from .teacher import (GbtConfig, TableTeacher, fit_gbt, load_table_teacher,
 
 
 def _parse_gbt_config(text: str) -> GbtConfig:
+    kinds = {f.name: type(f.default) for f in fields(GbtConfig)}
     kwargs = {}
     if text:
         for item in text.split(","):
             key, _, value = item.partition("=")
-            if key == "learning_rate":
-                kwargs[key] = float(value)
-            elif key in ("rounds", "max_leaves", "min_child_samples"):
-                kwargs[key] = int(value)
-            else:
+            if key not in kinds:
                 raise DataError(f"unknown gbt option {key!r}")
+            try:
+                kwargs[key] = kinds[key](value)
+            except ValueError:
+                raise DataError(f"gbt option {key!r}: bad value {value!r}") from None
     return GbtConfig(**kwargs)
 
 
-def _make_teacher(source: str, data, grid, seed: int):
-    """Parse gbt[:opts] | table:<path> | oracle:<spec_id> into a teacher."""
+def _make_teacher(flag: str, source: str, data, grid, seed: int):
+    """Parse gbt[:opts] | table:<path> | oracle:<spec_id> into a teacher; a
+    malformed source raises a DataError naming ``flag`` or the table path."""
     kind, _, rest = source.partition(":")
     if kind == "gbt":
-        return fit_gbt(data, _parse_gbt_config(rest))
+        try:
+            config = _parse_gbt_config(rest)
+        except ValueError as exc:  # DataError, or a GbtConfig invariant
+            raise DataError(f"{flag}: {exc}") from None
+        return fit_gbt(data, config)
     if kind == "table":
         teacher = load_table_teacher(rest, grid)
-        if data is not None and teacher.probs.shape[0] != data.n:
-            raise DataError(
-                f"table teacher has {teacher.probs.shape[0]} rows, data has {data.n}")
+        if teacher.probs.shape[0] != data.n:
+            raise DataError(f"{rest}: table teacher has {teacher.probs.shape[0]} "
+                            f"rows, data has {data.n}")
         return teacher
     if kind == "oracle":
-        return synth.oracle_teacher(synth.make_spec(int(rest), seed))
-    raise DataError(f"unknown teacher or truth source {source!r}")
+        try:
+            spec = synth.make_spec(int(rest), seed)
+        except ValueError:
+            raise DataError(f"{flag}: oracle needs a spec id from "
+                            f"{synth.SPEC_IDS}, got {rest!r}") from None
+        if spec.d != data.d:
+            raise DataError(f"{flag}: spec {spec.id} has {spec.d} features, "
+                            f"the data has {data.d}")
+        return synth.oracle_teacher(spec)
+    raise DataError(f"{flag}: unknown teacher or truth source {source!r}")
 
 
 def _parse_grid(flag: str, data):
     if flag == "percentile":
         return percentile_grid(data.prices)
     if flag.startswith("explicit:"):
-        values = [float(v) for v in flag.split(":", 1)[1].split(",")]
-        return explicit_grid(values)
-    raise DataError(f"unknown grid mode {flag!r}")
+        try:
+            return explicit_grid([float(v) for v in flag.split(":", 1)[1].split(",")])
+        except ValueError as exc:  # a price that is no number, or a bad ladder
+            raise DataError(f"--grid: {exc}") from None
+    raise DataError(f"--grid: unknown grid mode {flag!r}")
 
 
 def cmd_synth(args) -> int:
@@ -81,7 +97,7 @@ def cmd_fit(args) -> int:
              "teacher": args.teacher}
 
     if args.method in ("spt", "naive", "const"):
-        teacher = _make_teacher(args.teacher, data, grid, args.seed)
+        teacher = _make_teacher("--teacher", args.teacher, data, grid, args.seed)
         probs = (teacher.probs if isinstance(teacher, TableTeacher)  # P[i, k]
                  else probability_matrix(teacher, data.features, grid))
     if args.method == "spt":
@@ -137,8 +153,8 @@ def cmd_evaluate(args) -> int:
     policy, doc = _load_policy(args.tree)
     data = load_csv(args.data)
     prices = policy.prescribe(data.features)
-    truth = _make_teacher(args.truth, data, explicit_grid(doc["price_grid"]),
-                          args.seed)
+    truth = _make_teacher("--truth", args.truth, data,
+                          explicit_grid(doc["price_grid"]), args.seed)
     X = (np.arange(data.n, dtype=np.float64)[:, None]  # a table is row-indexed
          if isinstance(truth, TableTeacher) else data.features)
     probs = truth.predict_proba_batch(X, prices)
@@ -175,8 +191,7 @@ def cmd_experiment(args) -> int:
                         f"{r.min_revenue!r},{r.std_error!r},{r.n_reps}\n")
 
     write_summary("summary.csv", experiments.aggregate(rows))
-    knobs = plan.depths if plan.depths is not None else plan.minsplits
-    if len(knobs) > 1:
+    if len(plan.knobs) > 1:
         # best/worst across the complexity sweep as well as across seeds
         write_summary("summary_pooled.csv",
                       experiments.aggregate(rows, pool_depths=True))

@@ -57,6 +57,15 @@ class ExperimentPlan:
             raise PlanError(f"specs must be drawn from {synth.SPEC_IDS}")
         if (self.depths is None) == (self.minsplits is None):
             raise PlanError("exactly one of depths/minsplits must be set")
+        for key in ("n_train", "depths", "minsplits", "policies"):
+            if getattr(self, key) is not None and len(getattr(self, key)) == 0:
+                raise PlanError(f"plan field {key!r}: needs at least one value")
+        key = "depths" if self.depths is not None else "minsplits"
+        for value, knob in zip(getattr(self, key), self.knobs):
+            try:
+                FitConfig.for_knob(*knob)
+            except ValueError as exc:
+                raise PlanError(f"plan field {key!r}: bad value {value}: {exc}") from None
         if self.reps < 1 or self.n_test < 1 or any(n < 20 for n in self.n_train):
             raise PlanError("reps, n_test and n_train must be sensible positives")
         bad = [p for p in self.policies if p not in POLICY_NAMES]
@@ -66,6 +75,13 @@ class ExperimentPlan:
             raise PlanError("teacher must be 'gbt' or 'oracle'")
         if self.truth not in ("oracle", "evaluator"):
             raise PlanError("truth must be 'oracle' or 'evaluator'")
+
+    @property
+    def knobs(self) -> tuple[tuple, ...]:
+        """The sweep's (depth, minsplit) pairs; the other is None."""
+        if self.depths is not None:
+            return tuple((d, None) for d in self.depths)
+        return tuple((None, ms) for ms in self.minsplits)
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -106,7 +122,8 @@ def _check_fields(doc, kinds: dict, where: str) -> None:
 
 def plan_from_dict(doc: dict) -> ExperimentPlan:
     """A plan from its parsed JSON; a PlanError naming the field for an
-    unknown field or a value of the wrong JSON kind."""
+    unknown field, a value of the wrong JSON kind, an empty list or a depth
+    or minsplit that makes no ``FitConfig``."""
     _check_fields(doc, _PLAN_KINDS, "plan")
     kwargs = {k: tuple(v) if isinstance(v, (list, tuple)) else v
               for k, v in doc.items() if k != "gbt"}
@@ -252,9 +269,7 @@ def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
 def _cell_groups(plan: ExperimentPlan) -> list[list[tuple]]:
     """The plan's cells (spec, n, seed, depth, minsplit), grouped by
     (spec, n, seed) so each group shares one ``CellInputs``."""
-    knobs = ([(d, None) for d in plan.depths] if plan.depths is not None
-             else [(None, ms) for ms in plan.minsplits])
-    return [[(spec_id, n, seed, depth, minsplit) for depth, minsplit in knobs]
+    return [[(spec_id, n, seed, depth, minsplit) for depth, minsplit in plan.knobs]
             for spec_id in plan.specs for n in plan.n_train for seed in plan.seeds]
 
 

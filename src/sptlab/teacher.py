@@ -224,9 +224,16 @@ def auc(model: TeacherModel, test: Dataset) -> float:
 
 
 def load_table_teacher(path, grid: PriceGrid) -> TableTeacher:
-    """Read an n x m probability matrix (CSV, no header) aligned to the grid."""
+    """Read an n x m probability matrix (CSV, no header) aligned to the grid;
+    a cell that is no number raises a DataError naming the path and line."""
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = [[float(c) for c in row] for row in csv.reader(f) if row]
+        reader = csv.reader(f)
+        for row in (row for row in reader if row):
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError as exc:
+                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty table teacher file")
     widths = {len(r) for r in rows}

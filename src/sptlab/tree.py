@@ -19,6 +19,7 @@ matrix holds one int64 per feature and row, d x n for the root.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -164,8 +165,9 @@ _CONVERT = {"int": int, "float": float}  # field annotations to converters
 
 def place_node(nodes: list, nid: int, node, at: str, n_features=None) -> None:
     """``nodes[nid] = node`` for a decoder; a DataError naming ``at`` for an
-    id that is repeated or outside the list, a child outside the list, or a
-    split feature at or past ``n_features``."""
+    id that is repeated or outside the list, a child outside the list, a
+    split feature at or past ``n_features`` or a non-finite split threshold
+    (it sends every row the same way)."""
     n = len(nodes)
     if not 0 <= nid < n or nodes[nid] is not None:
         raise DataError(f"{at}: id {nid} is repeated or outside 0..{n - 1}")
@@ -177,6 +179,8 @@ def place_node(nodes: list, nid: int, node, at: str, n_features=None) -> None:
                                 and node.feature >= n_features):
             known = "" if n_features is None else f" for {n_features} feature names"
             raise DataError(f"{at}: split feature {node.feature} out of range{known}")
+        if not math.isfinite(node.threshold):
+            raise DataError(f"{at}: split threshold {node.threshold!r} is not finite")
     nodes[nid] = node
 
 

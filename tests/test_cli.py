@@ -238,6 +238,13 @@ def test_experiment_bad_plan(tmp_path, capsys):
     ({"specs": [1], "depths": [1, "a"]}, "plan field 'depths': bad value [1, 'a']"),
     ({"specs": [1], "gbt": {"rounds": 0}}, "gbt: rounds must be >= 1"),
     ({"specs": [1], "gbt": {"seed": 3}}, "unknown gbt fields ['seed']"),
+    ({"specs": [1], "depths": []}, "plan field 'depths': needs at least one value"),
+    ({"specs": [1], "minsplits": []},
+     "plan field 'minsplits': needs at least one value"),
+    ({"specs": [1], "depths": [2, -3]},
+     "plan field 'depths': bad value -3: max_depth must be >= 0 or None"),
+    ({"specs": [1], "minsplits": [1]},
+     "plan field 'minsplits': bad value 1: minsplit must be >= 2 * min_leaf"),
 ])
 def test_experiment_malformed_plan_is_located_error(tmp_path, capsys, doc, message):
     plan = tmp_path / "plan.json"
@@ -247,6 +254,7 @@ def test_experiment_malformed_plan_is_located_error(tmp_path, capsys, doc, messa
     err = capsys.readouterr().err
     assert err == f"error: {plan}: {message}\n"
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_experiment_plan_json_syntax_error(tmp_path, capsys):
@@ -287,6 +295,7 @@ def split_tree_doc(**split):
     (split_tree_doc(left=0), "tree: tree has a repeated"),
     ({**split_tree_doc(), "root": 3}, "tree: root id 3 outside"),
     ([], "policy file must hold a JSON object"),
+    (split_tree_doc(threshold="NaN"), "tree node 0: split threshold nan is not finite"),
 ])
 def test_export_malformed_tree_is_located_error(tmp_path, capsys, doc, message):
     tree = tmp_path / "bad.json"
@@ -309,6 +318,62 @@ def test_evaluate_malformed_one_vs_all_is_located_error(tmp_path, capsys):
                    "--truth", f"table:{truth}") == 1
     err = capsys.readouterr().err
     assert "policy tree 0 node 0: missing key 'n_est'" in err
+
+
+def test_evaluate_one_vs_all_infinite_threshold_is_located_error(tmp_path, capsys):
+    data, _, truth = write_toy_files(tmp_path)
+    policy = tmp_path / "ct.json"
+    split = {"id": 0, "kind": "split", "feature": 0, "threshold": "Infinity",
+             "left": 1, "right": 2}
+    leaves = [{"id": i, "kind": "leaf", "effect": 0.0, "treated_mean": 1.0,
+               "n_est": 1} for i in (1, 2)]
+    policy.write_text(json.dumps({"price_grid": [10.0],
+                                  "trees": [{"nodes": [split] + leaves, "root": 0}]}))
+    assert run_cli("evaluate", "--tree", str(policy), "--data", str(data),
+                   "--truth", f"table:{truth}") == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {policy}: policy tree 0 node 0: split threshold "
+                   "inf is not finite\n")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--teacher", "oracle:x", "--teacher: oracle needs a spec id from "
+                              "(1, 2, 3, 4, 5, 6), got 'x'"),
+    ("--teacher", "gbt:rounds", "--teacher: gbt option 'rounds': bad value ''"),
+    ("--teacher", "gbt:rounds=0", "--teacher: rounds must be >= 1"),
+    ("--teacher", "bogus:1", "--teacher: unknown teacher or truth source 'bogus:1'"),
+    ("--grid", "explicit:1,a", "--grid: could not convert string to float: 'a'"),
+    ("--grid", "explicit:", "--grid: could not convert string to float: ''"),
+    ("--teacher", "oracle:2", "--teacher: spec 2 has 20 features, the data has 1"),
+])
+def test_fit_bad_teacher_or_grid_is_located_error(tmp_path, capsys, flag, value,
+                                                  message):
+    data, _, _ = write_toy_files(tmp_path)
+    assert run_cli("fit", "--data", str(data), "--method", "spt",
+                   "--grid", "explicit:10,12", flag, value,  # a repeated flag: last wins
+                   "--out", str(tmp_path / "t.json")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_evaluate_bad_truth_is_located_error(tmp_path, capsys):
+    data, tree, _ = write_toy_files(tmp_path)
+    assert run_cli("evaluate", "--tree", str(tree), "--data", str(data),
+                   "--truth", "oracle:x") == 1
+    assert capsys.readouterr().err.startswith("error: --truth: oracle needs a spec id")
+
+
+def test_non_numeric_table_cell_is_located_error(tmp_path, capsys):
+    data, tree, truth = write_toy_files(tmp_path)
+    truth.write_text("1.0,0.0\n1.0,x\n")
+    expect = f"error: {truth} line 2: could not convert string to float: 'x'\n"
+    assert run_cli("evaluate", "--tree", str(tree), "--data", str(data),
+                   "--truth", f"table:{truth}") == 1
+    assert capsys.readouterr().err == expect
+    assert run_cli("fit", "--data", str(data), "--method", "spt",
+                   "--teacher", f"table:{truth}", "--grid", "explicit:10,12",
+                   "--out", str(tmp_path / "t.json")) == 1
+    assert capsys.readouterr().err == expect
 
 
 def test_evaluate_unpriced_leaf_reports_error(tmp_path, capsys):

@@ -170,6 +170,47 @@ def test_monotone_depth_training_revenue():
     assert all(b >= a - 1e-9 for a, b in zip(revs, revs[1:]))
 
 
+def _cut_back(small, big):
+    """Whether ``small`` is ``big`` with some subtrees cut back to leaves:
+    the same splits in preorder, and each cut leaf holds the rows of the
+    subtree it replaces."""
+    def rows(tree, nid):
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            return node.n_train
+        return rows(tree, node.left) + rows(tree, node.right)
+
+    stack = [(small.root, big.root)]
+    while stack:
+        a, b = stack.pop()
+        na, nb = small.nodes[a], big.nodes[b]
+        if isinstance(na, SplitNode):
+            if not (isinstance(nb, SplitNode) and (na.feature, na.threshold)
+                    == (nb.feature, nb.threshold)):
+                return False
+            stack += [(na.right, nb.right), (na.left, nb.left)]
+        elif na.n_train != rows(big, b) or (isinstance(nb, LeafNode) and na != nb):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("min_leaf", [1, 7])
+def test_larger_minsplit_grows_a_prefix_of_the_tree(min_leaf):
+    """With min_leaf fixed, minsplit only decides whether a node may split,
+    never which split it takes; so a larger minsplit cuts the tree back and
+    its training revenue is no higher."""
+    rng = np.random.default_rng(29)
+    X = np.round(rng.normal(size=(500, 3)), 1)
+    prices = np.asarray([1.0, 2.0, 3.0, 5.0])
+    rm = make_revmat(rng.uniform(0, 1, (500, 4)) * prices, prices=prices)
+    trees = [fit_spt(X, rm, FitConfig(max_depth=None, minsplit=ms, min_leaf=min_leaf))
+             for ms in (2 * min_leaf, 30, 90, 250)]
+    assert trees[0].n_leaves > trees[-1].n_leaves > 1
+    for big, small in zip(trees, trees[1:]):
+        assert _cut_back(small, big)
+        assert training_revenue(small) <= training_revenue(big) + 1e-9
+
+
 @pytest.mark.parametrize("depth,minsplit", [(3, 2), (6, 20), (None, 40)])
 def test_leaf_revenue_sum_is_recomputed_column_max(depth, minsplit):
     """Each leaf stores R(S) = max_k sum_{i in S} r[i, k] over the rows that

@@ -1,8 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sptlab import boosting
 from sptlab import teacher as teacher_module
@@ -11,6 +14,7 @@ from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import (GbtConfig, GradientBoostedTeacher, OracleTeacher,
                             RevenueMatrix, auc, fit_gbt, load_table_teacher,
                             probability_matrix, revenue_matrix)
+from sptlab.tree import presort
 
 
 def erf_cdf(z):
@@ -101,6 +105,100 @@ def test_gbt_file_bytes_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GBT_PIN_SHA256
 
 
+@pytest.mark.parametrize("cells", [1, 1200])  # 1 and 2 features per chunk at the root
+def test_gbt_file_bytes_pinned_in_feature_chunks(tmp_path, monkeypatch, cells):
+    monkeypatch.setattr(boosting, "_SPLIT_CELLS", cells)
+    test_gbt_file_bytes_pinned(tmp_path)
+
+
+def test_gbt_file_bytes_same_for_every_chunk_size(tmp_path, monkeypatch):
+    """d + 1 = 21 columns: chunks of 1, 2 and 20 features at the root (the
+    last leaves a chunk of one), and the whole node at once."""
+    data = generate(make_spec(2), 400, 0)
+    texts = []
+    for cells in (1, 800, 8000, 10**9):
+        monkeypatch.setattr(boosting, "_SPLIT_CELLS", cells)
+        path = tmp_path / f"model{cells}.txt"
+        fit_gbt(data, GbtConfig(rounds=4, min_child_samples=5)).save(path)
+        texts.append(path.read_bytes())
+    assert all(t == texts[0] for t in texts)
+
+
+def _ref_best_split(X, g, h, rows, orders, min_child, l2):
+    """The per-feature split search the whole-node search replaced."""
+    n = rows.size
+    if n < 2 * min_child:
+        return None
+    G, H = g[rows].sum(), h[rows].sum()
+    parent = G * G / (H + l2)
+    best = None
+    for j in range(X.shape[1]):
+        order = orders[j]
+        xs = X[order, j]
+        bnd = np.nonzero(xs[:-1] < xs[1:])[0]
+        if bnd.size == 0:
+            continue
+        n_left = bnd + 1
+        ok = (n_left >= min_child) & (n - n_left >= min_child)
+        bnd = bnd[ok]
+        if bnd.size == 0:
+            continue
+        gc = np.cumsum(g[order])[bnd]
+        hc = np.cumsum(h[order])[bnd]
+        gains = gc * gc / (hc + l2) + (G - gc) ** 2 / (H - hc + l2) - parent
+        i = int(np.argmax(gains))
+        if gains[i] > boosting._EPS_GAIN and (best is None or gains[i] > best[0]):
+            best = (float(gains[i]), j, float(xs[bnd[i]]))
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 5), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from([1, 2, 3, 0]))
+def test_best_split_matches_per_feature_reference(n_all, d, levels, copy, seed,
+                                                  child, per_chunk):
+    """Tie-heavy integer features (and, with ``copy``, a last feature equal
+    to the first, so every gain ties across features), dyadic gradients that
+    sum exactly, random row subsets, ``min_child`` at the ``2 * min_child``
+    edge and 1, 2, 3 or all features per chunk."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n_all, d)).astype(np.float64)
+    if copy:
+        X[:, -1] = X[:, 0]
+    g = rng.integers(-4, 5, n_all) / 4.0
+    h = rng.integers(1, 5, n_all) / 4.0
+    rows = np.flatnonzero(rng.random(n_all) < 0.7)
+    n = rows.size
+    min_child = (0, 1, n // 2, (n + 1) // 2, n // 2 + 1, 2)[child]
+    orders = presort(X, rows)
+    want = _ref_best_split(X, g, h, rows, orders, min_child, 1.0)
+    old = boosting._SPLIT_CELLS
+    boosting._SPLIT_CELLS = per_chunk * max(n, 1) if per_chunk else old
+    try:
+        got = boosting._best_split(X, g, h, orders, g[rows].sum(), h[rows].sum(),
+                                   min_child, 1.0)
+    finally:
+        boosting._SPLIT_CELLS = old
+    assert got == want
+
+
+def test_best_split_memory_is_bounded_by_the_chunk_cap():
+    """41 features x 6000 rows would take about 12 MB searched at once."""
+    rng = np.random.default_rng(5)
+    n, d = 6000, 41
+    X = np.round(rng.normal(size=(n, d)), 2)
+    g, h = rng.normal(size=n), rng.uniform(size=n)
+    orders = presort(X, np.arange(n))
+    tracemalloc.start()
+    try:
+        got = boosting._best_split(X, g, h, orders, g.sum(), h.sum(), 20, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is not None
+    assert peak <= 80 * max(boosting._SPLIT_CELLS, n)
+
+
 def _saved_model_lines(tmp_path):
     data = generate(make_spec(4), 300, 0)
     path = tmp_path / "model.txt"
@@ -156,6 +254,14 @@ def test_gbt_load_rejects_bad_lines(tmp_path):
     bad_feature = lines[:6] + [" ".join(parts[:2] + ["9"] + parts[3:])] + lines[7:]
     assert _load_error(path, bad_feature) == \
         f"{path} line 7: split feature 9 out of range for 3 feature names"
+
+
+def test_gbt_load_rejects_non_finite_threshold(tmp_path):
+    path, lines = _saved_model_lines(tmp_path)
+    parts = lines[6].split()
+    lines[6] = " ".join(parts[:3] + ["nan"] + parts[4:])
+    assert _load_error(path, lines) == \
+        f"{path} line 7: split threshold nan is not finite"
 
 
 def test_fit_training_margin_equals_predict_margin(monkeypatch):
