@@ -25,8 +25,6 @@ for depth in range(6):
 
 print("\nminsplit sweep (unbounded depth, min_leaf = minsplit // 3):")
 for minsplit in (50, 150, 500, 1500):
-    cfg = FitConfig(max_depth=None, minsplit=minsplit,
-                    min_leaf=max(1, minsplit // 3))
-    tree = fit_spt(train.features, revmat, cfg)
+    tree = fit_spt(train.features, revmat, FitConfig.for_knob(None, minsplit))
     rev = expected_revenue(tree, test.features, truth)
     print(f"  minsplit {minsplit:>4}: revenue {rev:.4f}, leaves {tree.n_leaves}")

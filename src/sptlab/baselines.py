@@ -233,7 +233,8 @@ class OneVsAllPolicy:
         return float(self.prescribe(np.atleast_2d(x))[0])
 
     @property
-    def n_leaves_mean(self) -> float:
+    def n_leaves(self) -> float:
+        """Mean leaf count of the per-price trees."""
         counts = [sum(isinstance(n, EffectLeaf) for n in t.nodes) for t in self.trees]
         return float(np.mean(counts))
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import baselines, experiments, synth
 from .dataset import (DataError, explicit_grid, load_csv, percentile_grid,
                       write_csv)
+# fit_spt and revenue_matrix are unused here but stay for perfbench/layers.py to wrap
 from .spt import (EmptyLeafError, FitConfig, export_tree, fit_spt,
                   training_revenue, tree_from_json)
 from .teacher import (GbtConfig, TableTeacher, fit_gbt, load_table_teacher,
@@ -39,22 +40,27 @@ def _parse_gbt_config(text: str) -> GbtConfig:
     return GbtConfig(**kwargs)
 
 
-def _make_teacher(flag: str, source: str, data, grid, seed: int):
-    """Parse gbt[:opts] | table:<path> | oracle:<spec_id> into a teacher; a
-    malformed source raises a DataError naming ``flag`` or the table path."""
+def _teacher_source(flag: str, source: str, data, grid, seed: int):
+    """Check gbt[:opts] | table:<path> | oracle:<spec_id> and return a function
+    that builds the teacher; a malformed source raises a DataError naming
+    ``flag``. The GBT is fitted, or the table read, only when it is called."""
     kind, _, rest = source.partition(":")
     if kind == "gbt":
         try:
             config = _parse_gbt_config(rest)
         except ValueError as exc:  # DataError, or a GbtConfig invariant
             raise DataError(f"{flag}: {exc}") from None
-        return fit_gbt(data, config)
+        return lambda: fit_gbt(data, config)
+    if kind == "table" and not rest:
+        raise DataError(f"{flag}: table needs a path, got {source!r}")
     if kind == "table":
-        teacher = load_table_teacher(rest, grid)
-        if teacher.probs.shape[0] != data.n:
-            raise DataError(f"{rest}: table teacher has {teacher.probs.shape[0]} "
-                            f"rows, data has {data.n}")
-        return teacher
+        def load_table():
+            teacher = load_table_teacher(rest, grid)
+            if teacher.probs.shape[0] != data.n:
+                raise DataError(f"{rest}: table teacher has {teacher.probs.shape[0]} "
+                                f"rows, data has {data.n}")
+            return teacher
+        return load_table
     if kind == "oracle":
         try:
             spec = synth.make_spec(int(rest), seed)
@@ -64,7 +70,7 @@ def _make_teacher(flag: str, source: str, data, grid, seed: int):
         if spec.d != data.d:
             raise DataError(f"{flag}: spec {spec.id} has {spec.d} features, "
                             f"the data has {data.d}")
-        return synth.oracle_teacher(spec)
+        return lambda: synth.oracle_teacher(spec)
     raise DataError(f"{flag}: unknown teacher or truth source {source!r}")
 
 
@@ -95,38 +101,23 @@ def cmd_fit(args) -> int:
     flags = {"data": args.data, "method": args.method, "grid": args.grid,
              "depth": args.depth, "minsplit": args.minsplit, "seed": args.seed,
              "teacher": args.teacher}
-
-    if args.method in ("spt", "naive", "const"):
-        teacher = _make_teacher("--teacher", args.teacher, data, grid, args.seed)
+    make_teacher = _teacher_source("--teacher", args.teacher, data, grid, args.seed)
+    teacher = probs = None
+    if args.method in experiments.TEACHER_POLICIES:
+        teacher = make_teacher()
         probs = (teacher.probs if isinstance(teacher, TableTeacher)  # P[i, k]
                  else probability_matrix(teacher, data.features, grid))
-    if args.method == "spt":
-        revmat = revenue_matrix(teacher, data.features, grid, probs)
-        tree = fit_spt(data.features, revmat, config, data.feature_names)
-    elif args.method == "pt":
-        assign = baselines.assign_treatments(data.prices, grid)
-        tree = baselines.fit_pt(data, grid, assign, config)
-    elif args.method == "naive":
-        tree = baselines.fit_naive_distill(teacher, data.features, grid,
-                                           config, data.feature_names,
-                                           targets=probs)
-    elif args.method == "const":
-        revmat = revenue_matrix(teacher, data.features, grid, probs)
-        tree = baselines.constant_price_policy(revmat)
-    elif args.method == "ct":
-        assign = baselines.assign_treatments(data.prices, grid)
-        policy = baselines.fit_ct_one_vs_all(data, grid, assign, config, args.seed)
-    else:
-        raise DataError(f"unknown method {args.method!r}")
+    policy = experiments.fit_policy(args.method, data, grid, config, args.seed,
+                                    teacher, probs)
 
-    if args.method == "ct":
+    if isinstance(policy, baselines.OneVsAllPolicy):
         text = baselines.export_one_vs_all(policy)
         summary = (f"one-vs-all policy, {len(policy.trees)} trees, "
-                   f"mean_leaves={policy.n_leaves_mean:.1f}")
+                   f"mean_leaves={policy.n_leaves:.1f}")
     else:
-        text = export_tree(tree, "json")
+        text = export_tree(policy, "json")
         summary = (f"training_revenue_per_item="
-                   f"{training_revenue(tree) / data.n:.6f} n_leaves={tree.n_leaves}")
+                   f"{training_revenue(policy) / data.n:.6f} n_leaves={policy.n_leaves}")
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump({**json.loads(text), "meta": flags}, f, indent=2)
     print(f"wrote {args.out}: {summary}")
@@ -153,8 +144,8 @@ def cmd_evaluate(args) -> int:
     policy, doc = _load_policy(args.tree)
     data = load_csv(args.data)
     prices = policy.prescribe(data.features)
-    truth = _make_teacher("--truth", args.truth, data,
-                          explicit_grid(doc["price_grid"]), args.seed)
+    truth = _teacher_source("--truth", args.truth, data,
+                            explicit_grid(doc["price_grid"]), args.seed)()
     X = (np.arange(data.n, dtype=np.float64)[:, None]  # a table is row-indexed
          if isinstance(truth, TableTeacher) else data.features)
     probs = truth.predict_proba_batch(X, prices)
@@ -228,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a pricing policy and write its JSON")
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True,
-                   choices=["spt", "pt", "ct", "naive", "const"])
+                   choices=experiments.FITTED_POLICIES)
     p.add_argument("--teacher", default="gbt",
                    help="gbt[:k=v,...] | table:<path> | oracle:<spec_id>")
     p.add_argument("--grid", default="percentile",

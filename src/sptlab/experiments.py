@@ -17,11 +17,15 @@ from .dataset import Dataset, PriceGrid, percentile_grid, split_halves
 from .evaluation import expected_revenue
 from .rng import derive_seed
 from .spt import FitConfig, fit_spt
-from .teacher import (GbtConfig, RevenueMatrix, TeacherGridPolicy, TeacherModel,
-                      fit_gbt, probability_matrix, revenue_matrix)
+from .teacher import (GbtConfig, TeacherGridPolicy, TeacherModel, fit_gbt,
+                      probability_matrix, revenue_matrix)
 
 POLICY_NAMES = ("spt", "pt", "ct", "naive", "teacher", "const", "optimal",
                 "no_change")
+# The policies ``fit_policy`` fits, for a sweep cell and for ``sptlab fit``,
+# and those of them that learn from the teacher rather than the sales.
+FITTED_POLICIES = ("spt", "pt", "ct", "naive", "const")
+TEACHER_POLICIES = ("spt", "naive", "const")
 RESULT_COLUMNS = ("spec", "policy", "depth", "minsplit", "n_train", "seed",
                   "mean_revenue", "n_leaves")
 
@@ -66,8 +70,10 @@ class ExperimentPlan:
                 FitConfig.for_knob(*knob)
             except ValueError as exc:
                 raise PlanError(f"plan field {key!r}: bad value {value}: {exc}") from None
-        if self.reps < 1 or self.n_test < 1 or any(n < 20 for n in self.n_train):
-            raise PlanError("reps, n_test and n_train must be sensible positives")
+        for key, value, low in [("reps", self.reps, 1), ("n_test", self.n_test, 1),
+                                *(("n_train", n, 20) for n in self.n_train)]:
+            if value < low:
+                raise PlanError(f"plan field {key!r}: bad value {value}: must be >= {low}")
         bad = [p for p in self.policies if p not in POLICY_NAMES]
         if bad:
             raise PlanError(f"unknown policies {bad}; valid: {POLICY_NAMES}")
@@ -185,10 +191,8 @@ class CellInputs:
     test: Dataset
     truth: TeacherModel
     grid: PriceGrid
-    assign: baselines.TreatmentAssignment
     teacher: TeacherModel
     probs: np.ndarray | None
-    revmat: RevenueMatrix | None
 
 
 def prepare_cell_inputs(plan: ExperimentPlan, spec_id: int, n: int,
@@ -209,13 +213,32 @@ def prepare_cell_inputs(plan: ExperimentPlan, spec_id: int, n: int,
     grid = percentile_grid(learn.prices)
     teacher_model = (synth.oracle_teacher(spec) if plan.teacher == "oracle"
                      else fit_gbt(learn, plan.gbt))
-    probs = revmat = None
-    if any(p in plan.policies for p in ("spt", "naive", "const")):
+    probs = None
+    if any(p in plan.policies for p in TEACHER_POLICIES):
         probs = probability_matrix(teacher_model, learn.features, grid)
-        revmat = revenue_matrix(teacher_model, learn.features, grid, probs)
-    return CellInputs(spec, learn, test, truth, grid,
-                      baselines.assign_treatments(learn.prices, grid),
-                      teacher_model, probs, revmat)
+    return CellInputs(spec, learn, test, truth, grid, teacher_model, probs)
+
+
+def fit_policy(name: str, learn: Dataset, grid: PriceGrid, config: FitConfig,
+               seed: int, teacher: TeacherModel | None = None, probs=None):
+    """Fit the policy ``name``, one of FITTED_POLICIES, on ``learn``. The
+    TEACHER_POLICIES learn from ``probs`` = P[i, k] = f(x_i, p_k) on ``learn``
+    over ``grid`` (queried from ``teacher`` when None); pt and ct learn from
+    the observed sales, and ``seed`` splits ct's sample in halves."""
+    if name not in FITTED_POLICIES:
+        raise ValueError(f"unknown fitted policy {name!r}; valid: {FITTED_POLICIES}")
+    if name == "naive":
+        return baselines.fit_naive_distill(teacher, learn.features, grid, config,
+                                           learn.feature_names, targets=probs)
+    if name in ("pt", "ct"):
+        assign = baselines.assign_treatments(learn.prices, grid)
+        if name == "pt":
+            return baselines.fit_pt(learn, grid, assign, config)
+        return baselines.fit_ct_one_vs_all(learn, grid, assign, config, seed)
+    revmat = revenue_matrix(teacher, learn.features, grid, probs)
+    if name == "spt":
+        return fit_spt(learn.features, revmat, config, learn.feature_names)
+    return baselines.constant_price_policy(revmat)
 
 
 def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
@@ -234,21 +257,11 @@ def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
 
     rows = []
     for name in plan.policies:
-        if name == "spt":
-            policy = fit_spt(learn.features, inputs.revmat, config, learn.feature_names)
-        elif name == "pt":
-            policy = baselines.fit_pt(learn, grid, inputs.assign, config)
-        elif name == "ct":
-            policy = baselines.fit_ct_one_vs_all(learn, grid, inputs.assign, config,
-                                                 derive_seed(seed, _SALT_CT))
-        elif name == "naive":
-            policy = baselines.fit_naive_distill(inputs.teacher, learn.features,
-                                                 grid, config, learn.feature_names,
-                                                 targets=inputs.probs)
+        if name in FITTED_POLICIES:
+            policy = fit_policy(name, learn, grid, config, derive_seed(seed, _SALT_CT),
+                                inputs.teacher, inputs.probs)
         elif name == "teacher":
             policy = TeacherGridPolicy(inputs.teacher, grid)
-        elif name == "const":
-            policy = baselines.constant_price_policy(inputs.revmat)
         elif name == "optimal":
             fine = synth.fine_price_grid(float(grid.prices[0]),
                                          float(grid.prices[-1]), 1000)
@@ -257,12 +270,12 @@ def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
             policy = None
         rev = (baselines.historical_policy_revenue(test, truth) if policy is None
                else expected_revenue(policy, test.features, truth))
-        # mean leaves per one-vs-all tree for ct, 0 for non-tree policies
-        n_leaves = getattr(policy, "n_leaves_mean", getattr(policy, "n_leaves", 0))
+        # n_leaves: mean leaves per one-vs-all tree for ct, 0 for non-tree policies
         rows.append({"spec": spec_id, "policy": name,
                      "depth": -1 if depth is None else depth,
                      "minsplit": config.minsplit, "n_train": n, "seed": seed,
-                     "mean_revenue": rev, "n_leaves": round(float(n_leaves), 3)})
+                     "mean_revenue": rev,
+                     "n_leaves": round(float(getattr(policy, "n_leaves", 0)), 3)})
     return rows
 
 

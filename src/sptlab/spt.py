@@ -200,8 +200,8 @@ def split_node(features, rows, orders, depth: int, config: FitConfig, crit):
     return cand, (left, left_orders), (right, right_orders)
 
 
-def grow_tree(features, crit, config: FitConfig,
-              feature_names=None, grid_prices=None) -> PolicyTree:
+def grow_tree(features, crit, config: FitConfig, feature_names,
+              grid_prices) -> PolicyTree:
     """Greedy top-down growth shared by SPT and the baseline trees."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     n, d = features.shape
@@ -220,9 +220,8 @@ def grow_tree(features, crit, config: FitConfig,
 
     rows = np.arange(n)
     nodes = grow_preorder((rows, presort(features, rows), 0), visit)
-    grid = np.asarray(grid_prices, dtype=np.float64) if grid_prices is not None \
-        else np.unique([nd.price for nd in nodes if isinstance(nd, LeafNode)])
-    return PolicyTree(nodes, 0, names, grid, check_structure(nodes, 0))
+    return PolicyTree(nodes, 0, names, np.asarray(grid_prices, dtype=np.float64),
+                      check_structure(nodes, 0))
 
 
 def leaf_revenue(revmat: RevenueMatrix, rows) -> tuple[int, float]:

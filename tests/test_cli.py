@@ -2,10 +2,14 @@ import json
 
 import pytest
 
-from sptlab.cli import main
-from sptlab.dataset import load_csv
-from sptlab.spt import (LeafNode, SplitNode, export_tree, single_leaf_tree,
-                        tree_from_json)
+from sptlab.baselines import export_one_vs_all
+from sptlab.cli import build_parser, main
+from sptlab.dataset import load_csv, percentile_grid
+from sptlab.experiments import FITTED_POLICIES, TEACHER_POLICIES, fit_policy
+from sptlab.spt import (FitConfig, LeafNode, SplitNode, export_tree,
+                        single_leaf_tree, tree_from_json)
+from sptlab.synth import make_spec, oracle_teacher
+from sptlab.teacher import probability_matrix
 
 
 def run_cli(*argv):
@@ -245,6 +249,11 @@ def test_experiment_bad_plan(tmp_path, capsys):
      "plan field 'depths': bad value -3: max_depth must be >= 0 or None"),
     ({"specs": [1], "minsplits": [1]},
      "plan field 'minsplits': bad value 1: minsplit must be >= 2 * min_leaf"),
+    ({"specs": [1], "reps": 0}, "plan field 'reps': bad value 0: must be >= 1"),
+    ({"specs": [1], "n_test": 0}, "plan field 'n_test': bad value 0: must be >= 1"),
+    ({"specs": [1], "n_train": [500, 10]},
+     "plan field 'n_train': bad value 10: must be >= 20"),
+    ({"specs": [1], "n_train": 19}, "plan field 'n_train': bad value 19: must be >= 20"),
 ])
 def test_experiment_malformed_plan_is_located_error(tmp_path, capsys, doc, message):
     plan = tmp_path / "plan.json"
@@ -336,7 +345,7 @@ def test_evaluate_one_vs_all_infinite_threshold_is_located_error(tmp_path, capsy
                    "inf is not finite\n")
 
 
-@pytest.mark.parametrize("flag, value, message", [
+BAD_FIT_FLAGS = [
     ("--teacher", "oracle:x", "--teacher: oracle needs a spec id from "
                               "(1, 2, 3, 4, 5, 6), got 'x'"),
     ("--teacher", "gbt:rounds", "--teacher: gbt option 'rounds': bad value ''"),
@@ -345,15 +354,50 @@ def test_evaluate_one_vs_all_infinite_threshold_is_located_error(tmp_path, capsy
     ("--grid", "explicit:1,a", "--grid: could not convert string to float: 'a'"),
     ("--grid", "explicit:", "--grid: could not convert string to float: ''"),
     ("--teacher", "oracle:2", "--teacher: spec 2 has 20 features, the data has 1"),
-])
+    # pt and ct learn from the sales, yet check the teacher source all the same
+    ("--teacher", "oracle:x", "--teacher: oracle needs a spec id from "
+                              "(1, 2, 3, 4, 5, 6), got 'x'", "pt"),
+    ("--teacher", "gbt:rounds=0", "--teacher: rounds must be >= 1", "pt"),
+    ("--teacher", "oracle:2", "--teacher: spec 2 has 20 features, the data has 1", "ct"),
+    ("--teacher", "bogus:1", "--teacher: unknown teacher or truth source 'bogus:1'",
+     "ct"),
+    ("--teacher", "table:", "--teacher: table needs a path, got 'table:'", "pt"),
+]
+
+
+# a row without a method is an spt fit, and its id leaves the method out
+@pytest.mark.parametrize("flag, value, message, method",
+                         [row + ("spt",) * (len(row) == 3) for row in BAD_FIT_FLAGS],
+                         ids=["-".join(row) for row in BAD_FIT_FLAGS])
 def test_fit_bad_teacher_or_grid_is_located_error(tmp_path, capsys, flag, value,
-                                                  message):
+                                                  message, method):
     data, _, _ = write_toy_files(tmp_path)
-    assert run_cli("fit", "--data", str(data), "--method", "spt",
+    assert run_cli("fit", "--data", str(data), "--method", method,
                    "--grid", "explicit:10,12", flag, value,  # a repeated flag: last wins
                    "--out", str(tmp_path / "t.json")) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("method", ["pt", "ct"])
+def test_fit_sales_policy_neither_fits_nor_reads_the_teacher(tmp_path, monkeypatch,
+                                                            method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the teacher was built")
+
+    monkeypatch.setattr("sptlab.cli.fit_gbt", refuse)
+    monkeypatch.setattr("sptlab.cli.load_table_teacher", refuse)
+    data = tmp_path / "d.csv"
+    assert run_cli("synth", "--spec", "4", "--n", "300", "--out", str(data)) == 0
+    outs = []
+    for teacher in ("gbt:rounds=3", f"table:{tmp_path / 'missing.csv'}", "oracle:4"):
+        outs.append(tmp_path / f"{len(outs)}.json")
+        assert run_cli("fit", "--data", str(data), "--method", method, "--depth", "2",
+                       "--teacher", teacher, "--out", str(outs[-1])) == 0
+    policies = [{k: v for k, v in json.loads(o.read_text()).items() if k != "meta"}
+                for o in outs]
+    assert policies[0] == policies[1] == policies[2]
 
 
 def test_evaluate_bad_truth_is_located_error(tmp_path, capsys):
@@ -397,3 +441,32 @@ def test_fit_naive_with_table_teacher_uses_rows_not_features(tmp_path):
     tree = tree_from_json(out.read_text())
     assert tree.predict_price([5.0, 0.0]) == 10.0
     assert tree.predict_price([7.0, 1.0]) == 12.0
+
+
+@pytest.mark.parametrize("method", FITTED_POLICIES)
+def test_fit_writes_the_policy_the_sweep_fits(tmp_path, method):
+    data = tmp_path / "d.csv"
+    assert run_cli("synth", "--spec", "4", "--n", "600", "--seed", "3",
+                   "--out", str(data)) == 0
+    out = tmp_path / "p.json"
+    assert run_cli("fit", "--data", str(data), "--method", method, "--depth", "2",
+                   "--teacher", "oracle:4", "--seed", "3", "--out", str(out)) == 0
+    got = json.loads(out.read_text())
+    del got["meta"]
+
+    learn = load_csv(data)
+    grid = percentile_grid(learn.prices)
+    teacher = oracle_teacher(make_spec(4, 3))
+    probs = (probability_matrix(teacher, learn.features, grid)
+             if method in TEACHER_POLICIES else None)
+    policy = fit_policy(method, learn, grid, FitConfig.for_knob(2, None), 3,
+                        teacher, probs)
+    text = (export_one_vs_all(policy) if method == "ct"
+            else export_tree(policy, "json"))
+    assert got == json.loads(text)
+
+
+def test_fit_method_choices_are_the_fitted_policies():
+    fit = build_parser()._subparsers._group_actions[0].choices["fit"]
+    [method] = [a for a in fit._actions if a.dest == "method"]
+    assert tuple(method.choices) == FITTED_POLICIES

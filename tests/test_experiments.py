@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from sptlab import experiments
+from sptlab import experiments, synth
+from sptlab.dataset import percentile_grid
 from sptlab.experiments import (ExperimentPlan, PlanError,
                                 aggregate, load_plan, plan_from_dict,
                                 read_results_csv, run_cell, run_experiment,
                                 write_results_csv)
+from sptlab.spt import FitConfig
 from sptlab.teacher import GbtConfig
 
 FAST_GBT = {"rounds": 5, "min_child_samples": 5}
@@ -223,3 +225,10 @@ def test_results_csv_round_trip(tmp_path):
     write_results_csv(rows, path)
     back = read_results_csv(path)
     assert back == rows
+
+
+def test_fit_policy_rejects_a_name_it_does_not_fit():
+    learn = synth.generate(synth.make_spec(1, 0), 100, 0)
+    with pytest.raises(ValueError, match="unknown fitted policy 'teacher'"):
+        experiments.fit_policy("teacher", learn, percentile_grid(learn.prices),
+                               FitConfig.for_knob(1, None), 0)
