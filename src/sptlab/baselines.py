@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataError, Dataset, PriceGrid, half_rows
-from .spt import (FitConfig, PolicyTree, StatsCriterion, grow_tree,
-                  leaf_revenue, single_leaf_tree, split_node)
+from .spt import (FitConfig, PolicyTree, StatsCriterion, SweepWorkspace,
+                  grow_tree, leaf_revenue, row_max, single_leaf_tree,
+                  split_node)
 from .teacher import RevenueMatrix, TeacherModel, probability_matrix
 from .tree import (grow_preorder, json_field, leaf_values, nodes_from_json,
                    nodes_to_json, presort)
@@ -59,8 +60,13 @@ class _PersonalizationCriterion(StatsCriterion):
         rev, cnt = sums[..., :self.m], sums[..., self.m:]
         return np.where(cnt > 0.5, rev / np.maximum(cnt, 1.0), -np.inf)
 
-    def scores_batch(self, sums, counts):
-        return self._avgs(sums).max(axis=1)
+    def scores_batch(self, sums, out):
+        """Divides each revenue column of ``sums`` by its count in place. An
+        unobserved treatment's 0/0 is NaN, which fmax skips."""
+        rev = sums[:, :self.m]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(rev, sums[:, self.m:], out=rev)
+        row_max(rev, out, np.fmax)
 
     def leaf_payload(self, sums, count):
         avgs = self._avgs(sums)
@@ -69,20 +75,24 @@ class _PersonalizationCriterion(StatsCriterion):
 
 
 class _MultiOutputMseCriterion(StatsCriterion):
-    """Negative sum-of-squared-errors of the teacher probability vectors."""
+    """Negative sum-of-squared-errors of the teacher probability vectors.
+    The statistics are the targets, their squared norm and a count column."""
 
     def __init__(self, targets: np.ndarray, grid: PriceGrid):
         self.m = targets.shape[1]
-        self.stats = np.column_stack([targets, (targets ** 2).sum(axis=1)])
+        self.stats = np.column_stack([targets, (targets ** 2).sum(axis=1),
+                                      np.ones(targets.shape[0])])
         self.grid = grid
 
-    def node_score(self, sums, count):  # s @ s adds in its own order: kept as is
+    def node_score(self, rows):  # s @ s adds in its own order: kept as is
+        sums = self.node_sums(rows)
         s = sums[: self.m]
-        return float(-(sums[self.m] - (s @ s) / count))
+        return float(-(sums[self.m] - (s @ s) / rows.size))
 
-    def scores_batch(self, sums, counts):
+    def scores_batch(self, sums, out):
         s = sums[:, : self.m]
-        return -(sums[:, self.m] - (s * s).sum(axis=1) / counts)
+        np.negative(sums[:, self.m] - (s * s).sum(axis=1) / sums[:, self.m + 1],
+                    out=out)
 
     def leaf_payload(self, sums, count):
         s = sums[: self.m]
@@ -164,19 +174,23 @@ class EffectTree:
 class _EffectVarianceCriterion(StatsCriterion):
     """Split score: sum over children of n * (effect estimate)^2, the greedy
     proxy for maximizing the variance of leaf effect estimates. Children
-    lacking a treated or control observation are invalid (-inf)."""
+    lacking a treated or control observation are invalid (-inf). The
+    statistics are w, w * y, y and a count column."""
+
+    WIDTH = 4  # statistics per row
 
     def __init__(self, y: np.ndarray, w: np.ndarray):
-        self.stats = np.column_stack([w, w * y, y])
+        self.stats = np.column_stack([w, w * y, y, np.ones(y.size)])
 
-    def scores_batch(self, sums, counts):
+    def scores_batch(self, sums, out):
         nt = sums[..., 0]
         sty = sums[..., 1]
         sy = sums[..., 2]
+        counts = sums[..., 3]
         nc = counts - nt
         valid = (nt > 0.5) & (nc > 0.5)
         delta = sty / np.maximum(nt, 1.0) - (sy - sty) / np.maximum(nc, 1.0)
-        return np.where(valid, counts * delta * delta, -np.inf)
+        np.copyto(out, np.where(valid, counts * delta * delta, -np.inf))
 
 
 def _group_means(y, w, rows):
@@ -190,8 +204,8 @@ def _group_means(y, w, rows):
     return mu1 - mu0, mu1
 
 
-def _fit_effect_tree(X, y, w, struct_rows, struct_orders, est_rows,
-                     config: FitConfig) -> EffectTree:
+def _fit_effect_tree(ws: SweepWorkspace, X, y, w, struct_rows, struct_orders,
+                     est_rows, config: FitConfig) -> EffectTree:
     crit = _EffectVarianceCriterion(y, w)
     root_est = _group_means(y, w, est_rows)
     if root_est is None:
@@ -202,7 +216,7 @@ def _fit_effect_tree(X, y, w, struct_rows, struct_orders, est_rows,
         srows, sorders, erows, depth, parent_est = state
         est = _group_means(y, w, erows) if erows.size else None
         eff, mu1 = est if est is not None else parent_est
-        got = split_node(X, srows, sorders, depth, config, crit)
+        got = split_node(ws, srows, sorders, depth, config, crit)
         if got is None:
             return EffectLeaf(eff, mu1, int(erows.size))
         cand, left, right = got
@@ -246,13 +260,14 @@ def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, assign: TreatmentAssignmen
     struct_rows, est_rows = half_rows(data.n, seed)
     X = data.features
     y = data.outcomes.astype(np.float64)
-    struct_orders = presort(X, struct_rows)  # shared by all m trees
+    struct_orders = presort(X, struct_rows)  # these and ws serve all m trees
+    ws = SweepWorkspace(X, struct_rows.size, _EffectVarianceCriterion.WIDTH)
     trees = []
     for t in range(grid.m):
         w = (assign.indices == t).astype(np.float64)
         if w.sum() < 1 or (data.n - w.sum()) < 1:
             raise DataError(f"treatment {t} has an empty treated or control group")
-        trees.append(_fit_effect_tree(X, y, w, struct_rows, struct_orders,
+        trees.append(_fit_effect_tree(ws, X, y, w, struct_rows, struct_orders,
                                       est_rows, config))
     return OneVsAllPolicy(trees, grid)
 

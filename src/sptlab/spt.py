@@ -12,7 +12,12 @@ to row order.
 
 The same engine drives the baseline trees (different node criteria plugged
 into ``grow_tree``). Each fit sorts every feature once and hands each node
-its rows in feature order (``sptlab.tree``).
+its rows in feature order (``sptlab.tree``). Each fit also owns one
+``SweepWorkspace``: a column-major copy of the features and row buffers
+sized for its largest node, in which the split sweep of every feature at
+every node gathers and cumulates its statistics instead of allocating
+fresh (rows x columns) arrays. It is never shared between fits, which may
+run on different threads.
 """
 
 from __future__ import annotations
@@ -113,15 +118,29 @@ class PolicyTree:
 
 class StatsCriterion:
     """A node criterion over per-row statistics ``self.stats``: a node is
-    scored from the column sums of its rows. Subclasses give
-    ``scores_batch(sums, counts)``, the scores of many nodes at once, and
-    policy-tree criteria ``leaf_payload(sums, count)`` -> (price, revenue_sum)."""
+    scored from the column sums of its rows alone (a criterion that needs
+    a node's row count keeps a column of ones). Subclasses give
+    ``scores_batch(sums, out)``, which writes into ``out`` the scores of the
+    nodes whose sums are the rows of ``sums`` and may overwrite ``sums``.
+    Policy-tree criteria also give ``leaf_payload(sums, count)`` ->
+    (price, revenue_sum)."""
 
     def node_sums(self, rows):
         return self.stats[rows].sum(axis=0)
 
-    def node_score(self, sums, count):
-        return float(self.scores_batch(sums[None, :], np.asarray([count]))[0])
+    def node_score(self, rows):
+        out = np.empty(1)
+        self.scores_batch(self.node_sums(rows)[None, :], out)
+        return float(out[0])
+
+
+def row_max(block, out, pick=np.maximum):
+    """Row maxima of a 2-D block into ``out``, taken one column at a time
+    (numpy's ``max(axis=1)`` is slow on rows of a few entries);
+    ``pick=np.fmax`` skips NaN entries."""
+    np.copyto(out, block[:, 0])
+    for k in range(1, block.shape[1]):
+        pick(out, block[:, k], out=out)
 
 
 class _RevenueCriterion(StatsCriterion):
@@ -131,48 +150,88 @@ class _RevenueCriterion(StatsCriterion):
         self.stats = revmat.values
         self.grid = revmat.grid
 
-    def scores_batch(self, sums, counts):
-        return sums.max(axis=1)
+    def scores_batch(self, sums, out):
+        row_max(sums, out)
 
     def leaf_payload(self, sums, count):
         k = int(np.argmax(sums))  # first max = lowest price
         return float(self.grid.prices[k]), float(sums[k])
 
 
-def _sweep_feature(xs, stats, order, min_leaf, scores_batch):
-    """Best boundary for one feature, given the node's rows in ``order`` and
-    their sorted values ``xs``: (combined, threshold, left_count) or None."""
-    n = xs.size
-    bnd = np.nonzero(xs[:-1] < xs[1:])[0]
-    if bnd.size == 0:
+# Boundaries scored per block. Blocks of 4096 rows of sums (0.3-0.6 MB at
+# 9-18 statistics, within a core's L2 cache) swept n=50k nodes faster than
+# blocks of 1024 or 16384 rows or one whole-node block.
+_BLOCK_ROWS = 4096
+
+
+class SweepWorkspace:
+    """The buffers of one fit's split search, reused at every node.
+
+    ``columns`` is the features in column-major order, so a node's values
+    of one feature are one contiguous gather. ``cum`` holds up to
+    ``n_rows`` rows (the fit's largest node) of ``width`` statistics;
+    ``left`` and ``right`` hold one block of boundaries.
+    """
+
+    def __init__(self, features, n_rows: int, width: int):
+        self.columns = np.ascontiguousarray(np.asarray(features).T,
+                                            dtype=np.float64)
+        self.xs = np.empty(n_rows)
+        self.gaps = np.empty(n_rows, dtype=bool)
+        self.cum = np.empty((n_rows, width))
+        self.scores = np.empty((2, n_rows))
+        block = min(n_rows, _BLOCK_ROWS)
+        self.left = np.empty((block, width))
+        self.right = np.empty((block, width))
+
+
+def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
+    """Best boundary of feature ``j`` at a node whose rows, in ascending
+    ``x_j`` with ties in row order, are ``order``: (combined, threshold,
+    left_count) or None.
+
+    Only the gaps that leave ``min_leaf`` rows on each side are searched.
+    The node's statistics are gathered into ``ws.cum`` and cumulated there
+    row after row. Boundaries are scored in blocks of ``_BLOCK_ROWS``: when
+    every searched gap is a boundary (a feature without ties) a block's
+    left sums are a slice of ``ws.cum``, otherwise they are gathered into
+    ``ws.left``; its right sums are the total less the left sums.
+    """
+    n = order.size
+    lo, hi = min_leaf - 1, n - min_leaf - 1  # gap b leaves b + 1 rows left
+    if hi < lo:
         return None
-    n_left = bnd + 1
-    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    bnd = bnd[ok]
-    if bnd.size == 0:
+    # mode="clip": in the default mode take fills ``out`` through a temporary
+    xs = np.take(ws.columns[j], order, out=ws.xs[:n], mode="clip")
+    gaps = np.less(xs[lo:hi + 1], xs[lo + 1:hi + 2], out=ws.gaps[:hi + 1 - lo])
+    k = int(np.count_nonzero(gaps))
+    if k == 0:
         return None
-    csum = np.cumsum(stats[order], axis=0)
-    left = csum[bnd]
-    right = csum[-1] - left
-    combined = scores_batch(left, bnd + 1) + scores_batch(right, n - bnd - 1)
+    cum = np.take(crit.stats, order, axis=0, out=ws.cum[:n], mode="clip")
+    np.cumsum(cum, axis=0, out=cum)
+    window, total = cum[lo:hi + 1], cum[n - 1]  # scoring may overwrite window
+    pos = None if k == gaps.size else np.flatnonzero(gaps)
+    for s in range(0, k, _BLOCK_ROWS):
+        e = min(k, s + _BLOCK_ROWS)
+        left = window[s:e] if pos is None else \
+            np.take(window, pos[s:e], axis=0, out=ws.left[:e - s], mode="clip")
+        right = np.subtract(total, left, out=ws.right[:e - s])
+        crit.scores_batch(left, ws.scores[0, s:e])
+        crit.scores_batch(right, ws.scores[1, s:e])
+    combined = np.add(ws.scores[0, :k], ws.scores[1, :k], out=ws.scores[0, :k])
     i = int(np.argmax(combined))  # first max = lowest threshold
-    return float(combined[i]), float(xs[bnd[i]]), int(bnd[i] + 1)
+    b = lo + (i if pos is None else int(pos[i]))
+    return float(combined[i]), float(xs[b]), b + 1
 
 
-def best_split_generic(features, rows, config: FitConfig, crit, orders=None):
-    """Best strict-improvement split at a node under any node criterion.
-
-    ``orders`` is the node's ``presort(features, rows)``; growers pass it
-    down the tree, other callers leave it for this function to compute."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if orders is None:
-        orders = presort(features, rows)
-    node = crit.node_score(crit.node_sums(rows), rows.size)
+def best_split_generic(ws: SweepWorkspace, rows, orders, config: FitConfig,
+                       crit):
+    """Best strict-improvement split at a node under any node criterion,
+    given the node's ``presort`` orders."""
+    node = crit.node_score(rows)
     best = None
-    for j in range(features.shape[1]):
-        order = orders[j]
-        got = _sweep_feature(features[order, j], crit.stats, order,
-                             config.min_leaf, crit.scores_batch)
+    for j, order in enumerate(orders):
+        got = _sweep_feature(ws, j, order, crit, config.min_leaf)
         if got is None:
             continue
         combined, threshold, left_count = got
@@ -182,21 +241,23 @@ def best_split_generic(features, rows, config: FitConfig, crit, orders=None):
     return best
 
 
-def split_node(features, rows, orders, depth: int, config: FitConfig, crit):
+def split_node(ws: SweepWorkspace, rows, orders, depth: int,
+               config: FitConfig, crit):
     """A grower's step at a node of ``depth`` with ``orders`` =
     ``presort(features, rows)``: None if the node stays a leaf, else its
     best split and the (rows, orders) pairs of its left and right children.
     A child that cannot split gets None for its orders."""
     if not config.can_split(depth, rows.size):
         return None
-    cand = best_split_generic(features, rows, config, crit, orders)
+    cand = best_split_generic(ws, rows, orders, config, crit)
     if cand is None:
         return None
-    go_left = features[rows, cand.feature_index] <= cand.threshold
+    go_left = ws.columns[cand.feature_index][rows] <= cand.threshold
     left, right = rows[go_left], rows[~go_left]
     keep = (config.can_split(depth + 1, left.size),
             config.can_split(depth + 1, right.size))
-    left_orders, right_orders = split_orders(orders, left, features.shape[0], keep)
+    left_orders, right_orders = split_orders(orders, left, ws.columns.shape[1],
+                                             keep)
     return cand, (left, left_orders), (right, right_orders)
 
 
@@ -207,10 +268,11 @@ def grow_tree(features, crit, config: FitConfig, feature_names,
     n, d = features.shape
     names = tuple(feature_names) if feature_names is not None \
         else tuple(f"x{i}" for i in range(d))
+    ws = SweepWorkspace(features, n, crit.stats.shape[1])
 
     def visit(state):
         rows, orders, depth = state
-        got = split_node(features, rows, orders, depth, config, crit)
+        got = split_node(ws, rows, orders, depth, config, crit)
         if got is None:
             price, revsum = crit.leaf_payload(crit.node_sums(rows), rows.size)
             return LeafNode(price, revsum, int(rows.size))
@@ -238,7 +300,10 @@ def best_split(revmat: RevenueMatrix, features, rows,
                config: FitConfig) -> SplitCandidate | None:
     """Public SPT split search; None when no strict improvement exists."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return best_split_generic(features, rows, config, _RevenueCriterion(revmat))
+    rows = np.asarray(rows, dtype=np.int64)
+    crit = _RevenueCriterion(revmat)
+    ws = SweepWorkspace(features, rows.size, crit.stats.shape[1])
+    return best_split_generic(ws, rows, presort(features, rows), config, crit)
 
 
 def fit_spt(features, revmat: RevenueMatrix, config: FitConfig,
@@ -283,15 +348,24 @@ def export_tree(tree: PolicyTree, format: str = "json") -> str:
     raise ValueError(f"unknown export format {format!r}")
 
 
-def _float_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
+def _float_vector(values) -> np.ndarray:
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.ndim != 1:
+        raise ValueError("not a vector")
+    return vector
+
+
+def _names(values) -> tuple:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError("not a list of strings")
+    return tuple(values)
 
 
 def tree_from_json(text: str) -> PolicyTree:
-    """Inverse of export_tree(..., 'json')."""
+    """Inverse of export_tree(..., 'json'); malformed input raises a DataError."""
     doc = json.loads(text)
-    names = json_field(doc, "feature_names", "tree", tuple)
-    grid = json_field(doc, "price_grid", "tree", _float_array)
+    names = json_field(doc, "feature_names", "tree", _names)
+    grid = json_field(doc, "price_grid", "tree", _float_vector)
     nodes, root, depth = nodes_from_json(doc, LeafNode, "tree", len(names))
     return PolicyTree(nodes, root, names, grid, depth)
 

@@ -13,7 +13,10 @@ Filtering keeps the relative order of the survivors, so it yields the same
 order as a stable argsort of the node's own values: ties stay in the order
 of the node's rows. Sweeps over these orders therefore add the same numbers
 in the same order as a per-node argsort, and pick the same splits. An order
-matrix holds one int64 per feature and row, d x n for the root.
+matrix holds one int64 per feature and row, d x n for the root. The
+policy-tree growers of ``sptlab.spt`` also give each fit one
+``SweepWorkspace``: the buffers in which every node's sweep over these
+orders gathers and cumulates its statistics, owned by the fit alone.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def json_field(doc, key: str, where: str, kind=None):
         return doc[key]
     try:
         return kind(doc[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(1e400) overflows
         raise DataError(f"{where}: bad {key!r} value {doc[key]!r}") from None
 
 

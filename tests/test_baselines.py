@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from sptlab.baselines import (OneVsAllPolicy, assign_treatments,
                               fit_ct_one_vs_all, fit_naive_distill, fit_pt,
                               historical_policy_revenue, naive_training_mse,
                               one_vs_all_from_json)
-from sptlab.dataset import DataError, Dataset, PriceGrid
+from sptlab.dataset import DataError, Dataset, PriceGrid, percentile_grid
 from sptlab.spt import FitConfig, LeafNode, export_tree
 from sptlab.synth import generate, make_spec
 from sptlab.teacher import (OracleTeacher, RevenueMatrix, fit_gbt, GbtConfig,
@@ -81,6 +83,34 @@ def test_pt_prescription_always_supported():
         rows = leaf_ids == nid
         t = int(np.nonzero(grid.prices == leaf.price)[0][0])
         assert np.sum(assign.indices[rows] == t) >= 1
+
+
+@pytest.mark.parametrize("config", [FitConfig(max_depth=4),
+                                    FitConfig.for_knob(None, 30)])
+def test_pt_leaf_is_best_observed_treatment_average(config):
+    data = generate(make_spec(4), 600, 3)
+    grid = percentile_grid(data.prices)
+    assign = assign_treatments(data.prices, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes the fit
+        tree = fit_pt(data, grid, assign, config)
+    assert tree.n_leaves > 4
+    leaf_of = tree.leaf_rows(data.features)
+    revenue = data.prices * data.outcomes
+    for nid, node in enumerate(tree.nodes):
+        if not isinstance(node, LeafNode):
+            continue
+        rows = leaf_of == nid
+        assert node.n_train == rows.sum()
+        avgs = np.full(grid.m, -np.inf)
+        for t in range(grid.m):
+            treated = rows & (assign.indices == t)
+            if treated.any():
+                avgs[t] = revenue[treated].sum() / treated.sum()
+        best = avgs.max()
+        assert node.revenue_sum == pytest.approx(node.n_train * best, rel=1e-12)
+        lowest = np.flatnonzero(np.isclose(avgs, best, rtol=1e-12, atol=0))[0]
+        assert node.price == grid.prices[lowest]
 
 
 def test_pt_splits_separate_segments():

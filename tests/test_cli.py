@@ -1,10 +1,17 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sptlab.baselines import export_one_vs_all
+from sptlab.baselines import (assign_treatments, export_one_vs_all,
+                              fit_ct_one_vs_all)
 from sptlab.cli import build_parser, main
-from sptlab.dataset import load_csv, percentile_grid
+from sptlab.dataset import Dataset, PriceGrid, load_csv, percentile_grid
 from sptlab.experiments import FITTED_POLICIES, TEACHER_POLICIES, fit_policy
 from sptlab.spt import (FitConfig, LeafNode, SplitNode, export_tree,
                         single_leaf_tree, tree_from_json)
@@ -315,6 +322,88 @@ def test_export_malformed_tree_is_located_error(tmp_path, capsys, doc, message):
     assert err.startswith(f"error: {tree}: ")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("price_grid", [[10.0, 12.0]]), ("price_grid", 10.0), ("price_grid", None),
+    ("feature_names", "x0"), ("feature_names", [0]),
+])
+def test_export_json_rejects_malformed_header(tmp_path, capsys, key, value):
+    tree = tmp_path / "bad.json"
+    tree.write_text(json.dumps({**split_tree_doc(), key: value}))
+    assert run_cli("export", "--tree", str(tree), "--format", "json",
+                   "--out", str(tmp_path / "t.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tree}: tree: bad {key!r} value ")
+    assert "Traceback" not in err
+
+
+# --- decoder fuzzing -----------------------------------------------------------
+
+_INF = "__1e400__"  # written out as the JSON number 1e400, which parses to inf
+_ODD_VALUES = ["x", [1.0], [[1.0, 2.0]], True, None, _INF]
+
+
+def _valid_policy_docs():
+    """A fitted tree JSON (with splits) and a one-vs-all JSON."""
+    rng = np.random.default_rng(5)
+    grid = PriceGrid(np.asarray([1.0, 3.0]))
+    n = 80
+    X = rng.normal(size=(n, 2))
+    prices = grid.prices[rng.integers(0, 2, n)]
+    y = ((X[:, 0] > 0) ^ (prices > 2)).astype(int)
+    data = Dataset(X, prices, y, ("a", "b"))
+    tree = fit_policy("pt", data, grid, FitConfig(max_depth=2), 0, None, None)
+    ct = fit_ct_one_vs_all(data, grid, assign_treatments(prices, grid),
+                           FitConfig(max_depth=1), 0)
+    return (json.loads(export_tree(tree, "json")),
+            json.loads(export_one_vs_all(ct)))
+
+
+_DOCS = _valid_policy_docs()
+
+
+def _paths(doc, path=()):
+    """Every path to a value inside ``doc``, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_policy_text(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_DOCS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        odd = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        if not path:
+            doc = odd
+            break
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = draw(st.sampled_from(["drop", "kind", "id"]))
+        if op == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif op == "id" or key in ("id", "left", "right", "root"):
+            parent[key] = draw(st.integers(-2, 8))
+        else:
+            parent[key] = odd
+    return json.dumps(doc).replace(f'"{_INF}"', "1e400")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_policy_text(), st.sampled_from(["json", "dot"]))
+def test_export_of_mutated_policy_files_never_raises(text, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "policy.json"
+        path.write_text(text)
+        assert main(["export", "--tree", str(path), "--format", fmt,
+                     "--out", str(Path(tmp) / "out")]) in (0, 1)
 
 
 def test_evaluate_malformed_one_vs_all_is_located_error(tmp_path, capsys):

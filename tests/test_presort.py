@@ -7,6 +7,7 @@ same trees byte for byte.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,13 +20,15 @@ from sptlab.baselines import (EffectLeaf, EffectTree, OneVsAllPolicy,
                               _PersonalizationCriterion, assign_treatments,
                               export_one_vs_all, fit_ct_one_vs_all,
                               fit_naive_distill, fit_pt)
-from sptlab.dataset import Dataset, percentile_grid
+from sptlab import spt
+from sptlab.dataset import Dataset, PriceGrid, percentile_grid
 from sptlab.tree import presort, split_orders
 from sptlab.rng import CounterRng
 from sptlab.spt import (FitConfig, LeafNode, PolicyTree, SplitCandidate,
-                        SplitNode, _RevenueCriterion, export_tree, fit_spt)
+                        SplitNode, SweepWorkspace, _RevenueCriterion,
+                        _sweep_feature, export_tree, fit_spt)
 from sptlab.synth import generate, make_spec, oracle_teacher
-from sptlab.teacher import probability_matrix, revenue_matrix
+from sptlab.teacher import RevenueMatrix, probability_matrix, revenue_matrix
 
 
 # --- stable filtering --------------------------------------------------------
@@ -66,28 +69,112 @@ def test_presort_keeps_caller_row_order_for_ties():
 
 # --- per-node argsort reference growers ---------------------------------------
 
+def _ref_scores(crit, sums, counts):
+    """Node scores from column sums and row counts, as each criterion read
+    before the sweep reused its buffers; frozen here so that the reference
+    does not follow the criteria it checks."""
+    if isinstance(crit, _RevenueCriterion):
+        return sums.max(axis=1)
+    if isinstance(crit, _PersonalizationCriterion):
+        rev, cnt = sums[:, :crit.m], sums[:, crit.m:2 * crit.m]
+        return np.where(cnt > 0.5, rev / np.maximum(cnt, 1.0), -np.inf).max(axis=1)
+    if isinstance(crit, _MultiOutputMseCriterion):
+        s = sums[:, :crit.m]
+        return -(sums[:, crit.m] - (s * s).sum(axis=1) / counts)
+    nt, sty, sy = sums[:, 0], sums[:, 1], sums[:, 2]
+    nc = counts - nt
+    valid = (nt > 0.5) & (nc > 0.5)
+    delta = sty / np.maximum(nt, 1.0) - (sy - sty) / np.maximum(nc, 1.0)
+    return np.where(valid, counts * delta * delta, -np.inf)
+
+
+def _ref_node_score(crit, sums, count):
+    if isinstance(crit, _MultiOutputMseCriterion):
+        s = sums[:crit.m]
+        return float(-(sums[crit.m] - (s @ s) / count))
+    return float(_ref_scores(crit, sums[None, :], np.asarray([count]))[0])
+
+
 def _ref_best_split(features, rows, config, crit):
     stats_rows = crit.stats[rows]
-    node = crit.node_score(stats_rows.sum(axis=0), rows.size)
-    n, best = rows.size, None
+    node = _ref_node_score(crit, stats_rows.sum(axis=0), rows.size)
+    best = None
     for j in range(features.shape[1]):
         x = features[rows, j]
         order = np.argsort(x, kind="stable")
-        xs = x[order]
-        bnd = np.nonzero(xs[:-1] < xs[1:])[0]
-        n_left = bnd + 1
-        bnd = bnd[(n_left >= config.min_leaf) & (n - n_left >= config.min_leaf)]
-        if bnd.size == 0:
+        got = _frozen_sweep(x[order], stats_rows, order, config.min_leaf,
+                            lambda s, c: _ref_scores(crit, s, c))
+        if got is None:
             continue
-        csum = np.cumsum(stats_rows[order], axis=0)
-        left = csum[bnd]
-        combined = (crit.scores_batch(left, bnd + 1)
-                    + crit.scores_batch(csum[-1] - left, n - bnd - 1))
-        i = int(np.argmax(combined))
-        if combined[i] > node and (best is None or combined[i] > best.combined_revenue):
-            best = SplitCandidate(j, float(xs[bnd[i]]), float(combined[i]),
-                                  int(bnd[i] + 1), int(n - bnd[i] - 1))
+        combined, threshold, left_count = got
+        if combined > node and (best is None or combined > best.combined_revenue):
+            best = SplitCandidate(j, threshold, combined,
+                                  left_count, rows.size - left_count)
     return best
+
+
+def _frozen_sweep(xs, stats, order, min_leaf, scores_batch):
+    """The per-feature sweep as it read before it reused a workspace."""
+    n = xs.size
+    bnd = np.nonzero(xs[:-1] < xs[1:])[0]
+    if bnd.size == 0:
+        return None
+    n_left = bnd + 1
+    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    bnd = bnd[ok]
+    if bnd.size == 0:
+        return None
+    csum = np.cumsum(stats[order], axis=0)
+    left = csum[bnd]
+    right = csum[-1] - left
+    combined = scores_batch(left, bnd + 1) + scores_batch(right, n - bnd - 1)
+    i = int(np.argmax(combined))
+    return float(combined[i]), float(xs[bnd[i]]), int(bnd[i] + 1)
+
+
+def _criterion(kind, X, rng):
+    n = X.shape[0]
+    grid = PriceGrid(np.asarray([1.0, 2.0, 3.0]))
+    # skewed treatments: nodes often miss one on a side of a boundary
+    t = rng.choice(3, size=n, p=[0.75, 0.2, 0.05])
+    if kind == "spt":
+        return _RevenueCriterion(RevenueMatrix(rng.random((n, 3)) * grid.prices,
+                                               grid))
+    if kind == "pt":
+        data = Dataset(X, grid.prices[t], rng.integers(0, 2, n),
+                       tuple(f"x{j}" for j in range(X.shape[1])))
+        return _PersonalizationCriterion(data, assign_treatments(data.prices, grid))
+    if kind == "naive":
+        return _MultiOutputMseCriterion(rng.random((n, 3)), grid)
+    return _EffectVarianceCriterion(rng.integers(0, 2, n).astype(float),
+                                    (t == 0).astype(float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["spt", "pt", "naive", "ct"]), st.integers(2, 30),
+       st.integers(1, 4), st.sampled_from([1, 3, 4096]),
+       st.integers(0, 2**32 - 1))
+def test_sweep_matches_frozen_sweep(kind, n, levels, block_rows, seed):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.integers(0, levels, n).astype(float),  # ties
+                         rng.random(n)])
+    crit = _criterion(kind, X, rng)
+    with mock.patch.object(spt, "_BLOCK_ROWS", block_rows):
+        _check_sweeps(X, crit, rng)
+
+
+def _check_sweeps(X, crit, rng):
+    n = X.shape[0]
+    ws = SweepWorkspace(X, n, crit.stats.shape[1])  # one for every node below
+    for size in (n, max(1, n // 3), n, max(2, (2 * n) // 3), 1):
+        rows = np.sort(rng.choice(n, size=size, replace=False))
+        orders = presort(X, rows)
+        for j, order in enumerate(orders):
+            for min_leaf in range(1, max(1, size // 2) + 1):
+                got = _sweep_feature(ws, j, order, crit, min_leaf)
+                want = _frozen_sweep(X[order, j], crit.stats, order, min_leaf,
+                                     lambda s, c: _ref_scores(crit, s, c))
+                assert got == want, (size, j, min_leaf)
 
 
 def _can_split(config, depth, count):
