@@ -48,11 +48,11 @@ class _PersonalizationCriterion(StatsCriterion):
 
     def __init__(self, data: Dataset, assign: TreatmentAssignment):
         n, m = data.n, assign.grid.m
-        stats = np.zeros((n, 2 * m))
+        cols = np.zeros((2 * m, n))
         rows = np.arange(n)
-        stats[rows, assign.indices] = data.prices * data.outcomes
-        stats[rows, m + assign.indices] = 1.0
-        self.stats = stats
+        cols[assign.indices, rows] = data.prices * data.outcomes
+        cols[m + assign.indices, rows] = 1.0
+        super().__init__(cols)
         self.grid = assign.grid
         self.m = m
 
@@ -61,11 +61,11 @@ class _PersonalizationCriterion(StatsCriterion):
         return np.where(cnt > 0.5, rev / np.maximum(cnt, 1.0), -np.inf)
 
     def scores_batch(self, sums, out):
-        """Divides each revenue column of ``sums`` by its count in place. An
+        """Divides each revenue row of ``sums`` by its count row in place. An
         unobserved treatment's 0/0 is NaN, which fmax skips."""
-        rev = sums[:, :self.m]
+        rev = sums[:self.m]
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(rev, sums[:, self.m:], out=rev)
+            np.divide(rev, sums[self.m:], out=rev)
         row_max(rev, out, np.fmax)
 
     def leaf_payload(self, sums, count):
@@ -74,14 +74,44 @@ class _PersonalizationCriterion(StatsCriterion):
         return float(self.grid.prices[t]), float(avgs[t] * count)
 
 
+def sum_rows_pairwise(block, out):
+    """The sums over the rows of a 2-D block into ``out``, adding in the
+    order of numpy's pairwise sum along a contiguous axis, so that they equal
+    ``block.T.sum(axis=1)`` bit for bit: one row after another below 8 rows,
+    8 running sums up to 128 rows, halves above that. Overwrites ``block``."""
+    m = block.shape[0]
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        sum_rows_pairwise(block[half:], block[half])
+        sum_rows_pairwise(block[:half], out)
+        np.add(out, block[half], out=out)
+        return
+    if m < 8:
+        np.copyto(out, block[0])
+        rest = 1
+    else:
+        acc = block[:8]
+        rest = m - m % 8
+        for i in range(8, rest, 8):
+            np.add(acc, block[i:i + 8], out=acc)
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])  # (r0 + r1), (r2 + r3), ...
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(acc[0], acc[4], out=out)
+    for row in block[rest:]:
+        np.add(out, row, out=out)
+
+
 class _MultiOutputMseCriterion(StatsCriterion):
     """Negative sum-of-squared-errors of the teacher probability vectors.
-    The statistics are the targets, their squared norm and a count column."""
+    The statistics are the targets, their squared norm and a count row."""
 
     def __init__(self, targets: np.ndarray, grid: PriceGrid):
-        self.m = targets.shape[1]
-        self.stats = np.column_stack([targets, (targets ** 2).sum(axis=1),
-                                      np.ones(targets.shape[0])])
+        n, self.m = targets.shape
+        cols = np.empty((self.m + 2, n))
+        cols[:self.m] = targets.T
+        cols[self.m] = (targets ** 2).sum(axis=1)
+        cols[self.m + 1] = 1.0
+        super().__init__(cols)
         self.grid = grid
 
     def node_score(self, rows):  # s @ s adds in its own order: kept as is
@@ -90,9 +120,12 @@ class _MultiOutputMseCriterion(StatsCriterion):
         return float(-(sums[self.m] - (s @ s) / rows.size))
 
     def scores_batch(self, sums, out):
-        s = sums[:, : self.m]
-        np.negative(sums[:, self.m] - (s * s).sum(axis=1) / sums[:, self.m + 1],
-                    out=out)
+        s = sums[:self.m]
+        np.multiply(s, s, out=s)
+        sum_rows_pairwise(s, out)
+        np.divide(out, sums[self.m + 1], out=out)
+        np.subtract(sums[self.m], out, out=out)
+        np.negative(out, out=out)
 
     def leaf_payload(self, sums, count):
         s = sums[: self.m]
@@ -175,22 +208,34 @@ class _EffectVarianceCriterion(StatsCriterion):
     """Split score: sum over children of n * (effect estimate)^2, the greedy
     proxy for maximizing the variance of leaf effect estimates. Children
     lacking a treated or control observation are invalid (-inf). The
-    statistics are w, w * y, y and a count column."""
+    statistics are w, w * y, y and a count row."""
 
     WIDTH = 4  # statistics per row
 
     def __init__(self, y: np.ndarray, w: np.ndarray):
-        self.stats = np.column_stack([w, w * y, y, np.ones(y.size)])
+        super().__init__(np.vstack([w, w * y, y, np.ones(y.size)]))
+        self._nc = self._invalid = np.empty(0)
 
     def scores_batch(self, sums, out):
-        nt = sums[..., 0]
-        sty = sums[..., 1]
-        sy = sums[..., 2]
-        counts = sums[..., 3]
-        nc = counts - nt
-        valid = (nt > 0.5) & (nc > 0.5)
-        delta = sty / np.maximum(nt, 1.0) - (sy - sty) / np.maximum(nc, 1.0)
-        np.copyto(out, np.where(valid, counts * delta * delta, -np.inf))
+        """n * delta^2 with delta = sty / max(nt, 1) - (sy - sty) / max(nc, 1),
+        computed in ``out``, the rows of ``sums`` and two reused buffers."""
+        if self._nc.size < out.size:
+            self._nc = np.empty(out.size)
+            self._invalid = np.empty(out.size, dtype=bool)
+        nc, invalid = self._nc[:out.size], self._invalid[:out.size]
+        nt, sty, sy, counts = sums
+        np.subtract(counts, nt, out=nc)
+        np.minimum(nt, nc, out=out)
+        np.less_equal(out, 0.5, out=invalid)  # no treated or no control row
+        np.maximum(nt, 1.0, out=nt)
+        np.divide(sty, nt, out=nt)  # treated mean
+        np.subtract(sy, sty, out=sy)
+        np.maximum(nc, 1.0, out=nc)
+        np.divide(sy, nc, out=sy)  # control mean
+        np.subtract(nt, sy, out=nt)  # delta
+        np.multiply(counts, nt, out=out)
+        np.multiply(out, nt, out=out)
+        np.copyto(out, -np.inf, where=invalid)
 
 
 def _group_means(y, w, rows):

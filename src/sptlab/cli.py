@@ -138,6 +138,8 @@ def _load_policy(path):
         return tree_from_json(text), doc
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    except RecursionError:  # json.loads on deeply nested arrays or objects
+        raise DataError(f"{path}: JSON nested too deeply") from None
 
 
 def cmd_evaluate(args) -> int:

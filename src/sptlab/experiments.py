@@ -127,10 +127,12 @@ def _check_fields(doc, kinds: dict, where: str) -> None:
 
 
 def plan_from_dict(doc: dict) -> ExperimentPlan:
-    """A plan from its parsed JSON; a PlanError naming the field for an
-    unknown field, a value of the wrong JSON kind, an empty list or a depth
-    or minsplit that makes no ``FitConfig``."""
+    """A plan from its parsed JSON; a PlanError naming the field for a
+    missing ``specs``, an unknown field, a value of the wrong JSON kind, an
+    empty list or a depth or minsplit that makes no ``FitConfig``."""
     _check_fields(doc, _PLAN_KINDS, "plan")
+    if "specs" not in doc:
+        raise PlanError("missing plan field 'specs'")
     kwargs = {k: tuple(v) if isinstance(v, (list, tuple)) else v
               for k, v in doc.items() if k != "gbt"}
     if isinstance(kwargs.get("n_train"), int):
@@ -162,6 +164,8 @@ def load_plan(path_or_name) -> ExperimentPlan:
         return plan_from_dict(json.loads(text))
     except ValueError as exc:  # PlanError and JSON syntax errors
         raise PlanError(f"{path}: {exc}") from None
+    except RecursionError:  # json.loads on deeply nested arrays or objects
+        raise PlanError(f"{path}: JSON nested too deeply") from None
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ to row order.
 
 The same engine drives the baseline trees (different node criteria plugged
 into ``grow_tree``). Each fit sorts every feature once and hands each node
-its rows in feature order (``sptlab.tree``). Each fit also owns one
-``SweepWorkspace``: a column-major copy of the features and row buffers
-sized for its largest node, in which the split sweep of every feature at
-every node gathers and cumulates its statistics instead of allocating
-fresh (rows x columns) arrays. It is never shared between fits, which may
-run on different threads.
+its rows in feature order (``sptlab.tree``). Each criterion holds its
+per-row statistics column-major, one contiguous row per statistic, and each
+fit owns one ``SweepWorkspace``: a column-major copy of the features and
+(statistics x rows) blocks sized for its largest node, in which the split
+sweep of every feature at every node gathers and cumulates its statistics
+instead of allocating fresh arrays. It is never shared between fits, which
+may run on different threads.
 """
 
 from __future__ import annotations
@@ -117,37 +118,44 @@ class PolicyTree:
 
 
 class StatsCriterion:
-    """A node criterion over per-row statistics ``self.stats``: a node is
-    scored from the column sums of its rows alone (a criterion that needs
-    a node's row count keeps a column of ones). Subclasses give
-    ``scores_batch(sums, out)``, which writes into ``out`` the scores of the
-    nodes whose sums are the rows of ``sums`` and may overwrite ``sums``.
+    """A node criterion over per-row statistics, held once as the contiguous
+    ``(width, n)`` array ``self.cols`` (one row per statistic, so a sweep
+    gathers and cumulates contiguous rows); ``self.stats`` is its ``(n,
+    width)`` transposed view. A node is scored from the sums of its rows'
+    statistics alone (a criterion that needs a node's row count keeps a
+    statistic of ones). Subclasses give ``scores_batch(sums, out)``, which
+    writes into ``out`` the scores of the nodes whose sums are the columns
+    of the ``(width, nodes)`` block ``sums`` and may overwrite ``sums``.
     Policy-tree criteria also give ``leaf_payload(sums, count)`` ->
     (price, revenue_sum)."""
 
+    def __init__(self, cols):
+        self.cols = cols
+        self.stats = cols.T
+
     def node_sums(self, rows):
+        # stats[rows] is a C-order copy, whose sum adds the rows one by one
         return self.stats[rows].sum(axis=0)
 
     def node_score(self, rows):
         out = np.empty(1)
-        self.scores_batch(self.node_sums(rows)[None, :], out)
+        self.scores_batch(self.node_sums(rows)[:, None], out)
         return float(out[0])
 
 
 def row_max(block, out, pick=np.maximum):
-    """Row maxima of a 2-D block into ``out``, taken one column at a time
-    (numpy's ``max(axis=1)`` is slow on rows of a few entries);
+    """Elementwise maxima over the rows of a 2-D block into ``out``;
     ``pick=np.fmax`` skips NaN entries."""
-    np.copyto(out, block[:, 0])
-    for k in range(1, block.shape[1]):
-        pick(out, block[:, k], out=out)
+    np.copyto(out, block[0])
+    for row in block[1:]:
+        pick(out, row, out=out)
 
 
 class _RevenueCriterion(StatsCriterion):
     """max-over-prices column-sum score for the student prescriptive tree."""
 
     def __init__(self, revmat: RevenueMatrix):
-        self.stats = revmat.values
+        super().__init__(np.ascontiguousarray(revmat.values.T))
         self.grid = revmat.grid
 
     def scores_batch(self, sums, out):
@@ -158,9 +166,11 @@ class _RevenueCriterion(StatsCriterion):
         return float(self.grid.prices[k]), float(sums[k])
 
 
-# Boundaries scored per block. Blocks of 4096 rows of sums (0.3-0.6 MB at
-# 9-18 statistics, within a core's L2 cache) swept n=50k nodes faster than
-# blocks of 1024 or 16384 rows or one whole-node block.
+# Boundaries scored per block. Blocks of 4096 boundaries (0.3-0.6 MB of sums
+# at 9-18 statistics, within a core's L2 cache) swept n=50k nodes faster
+# than blocks of 1024 or 16384 boundaries or one whole-node block when sums
+# were row-major; in the (width, rows) layout blocks of 1024 to 65536 ran
+# within run-to-run noise of each other.
 _BLOCK_ROWS = 4096
 
 
@@ -168,21 +178,28 @@ class SweepWorkspace:
     """The buffers of one fit's split search, reused at every node.
 
     ``columns`` is the features in column-major order, so a node's values
-    of one feature are one contiguous gather. ``cum`` holds up to
-    ``n_rows`` rows (the fit's largest node) of ``width`` statistics;
-    ``left`` and ``right`` hold one block of boundaries.
+    of one feature are one contiguous gather. ``cum`` holds a ``(width,
+    rows)`` block of statistics for up to ``n_rows`` rows (the fit's largest
+    node); ``left`` and ``right`` hold one ``(width, rows)`` block of
+    boundaries. Each is flat, so that its block for any row count is
+    contiguous (``block``).
     """
 
     def __init__(self, features, n_rows: int, width: int):
         self.columns = np.ascontiguousarray(np.asarray(features).T,
                                             dtype=np.float64)
+        self.width = width
         self.xs = np.empty(n_rows)
         self.gaps = np.empty(n_rows, dtype=bool)
-        self.cum = np.empty((n_rows, width))
+        self.cum = np.empty(width * n_rows)
         self.scores = np.empty((2, n_rows))
         block = min(n_rows, _BLOCK_ROWS)
-        self.left = np.empty((block, width))
-        self.right = np.empty((block, width))
+        self.left = np.empty(width * block)
+        self.right = np.empty(width * block)
+
+    def block(self, buf, rows: int):
+        """The contiguous ``(width, rows)`` block at the start of ``buf``."""
+        return buf[:self.width * rows].reshape(self.width, rows)
 
 
 def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
@@ -191,11 +208,12 @@ def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
     left_count) or None.
 
     Only the gaps that leave ``min_leaf`` rows on each side are searched.
-    The node's statistics are gathered into ``ws.cum`` and cumulated there
-    row after row. Boundaries are scored in blocks of ``_BLOCK_ROWS``: when
-    every searched gap is a boundary (a feature without ties) a block's
-    left sums are a slice of ``ws.cum``, otherwise they are gathered into
-    ``ws.left``; its right sums are the total less the left sums.
+    The node's statistics are gathered into the ``(width, rows)`` block
+    ``ws.cum`` and each statistic's row is cumulated there. Boundaries are
+    scored in blocks of ``_BLOCK_ROWS``: when every searched gap is a
+    boundary (a feature without ties) a block's left sums are a slice of
+    ``ws.cum``, otherwise they are gathered into ``ws.left``; its right sums
+    are the total less the left sums.
     """
     n = order.size
     lo, hi = min_leaf - 1, n - min_leaf - 1  # gap b leaves b + 1 rows left
@@ -207,20 +225,21 @@ def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
     k = int(np.count_nonzero(gaps))
     if k == 0:
         return None
-    cum = np.take(crit.stats, order, axis=0, out=ws.cum[:n], mode="clip")
-    np.cumsum(cum, axis=0, out=cum)
-    window, total = cum[lo:hi + 1], cum[n - 1]  # scoring may overwrite window
-    pos = None if k == gaps.size else np.flatnonzero(gaps)
+    cum = np.take(crit.cols, order, axis=1, out=ws.block(ws.cum, n), mode="clip")
+    np.cumsum(cum, axis=1, out=cum)
+    total = cum[:, n - 1:]  # scoring may overwrite the searched window only
+    pos = None if k == gaps.size else np.flatnonzero(gaps) + lo
     for s in range(0, k, _BLOCK_ROWS):
         e = min(k, s + _BLOCK_ROWS)
-        left = window[s:e] if pos is None else \
-            np.take(window, pos[s:e], axis=0, out=ws.left[:e - s], mode="clip")
-        right = np.subtract(total, left, out=ws.right[:e - s])
+        left = cum[:, lo + s:lo + e] if pos is None else \
+            np.take(cum, pos[s:e], axis=1, out=ws.block(ws.left, e - s),
+                    mode="clip")
+        right = np.subtract(total, left, out=ws.block(ws.right, e - s))
         crit.scores_batch(left, ws.scores[0, s:e])
         crit.scores_batch(right, ws.scores[1, s:e])
     combined = np.add(ws.scores[0, :k], ws.scores[1, :k], out=ws.scores[0, :k])
     i = int(np.argmax(combined))  # first max = lowest threshold
-    b = lo + (i if pos is None else int(pos[i]))
+    b = lo + i if pos is None else int(pos[i])
     return float(combined[i]), float(xs[b]), b + 1
 
 

@@ -118,10 +118,23 @@ def grow_preorder(root, visit) -> list:
 
 def presort(features: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(d, len(rows)) orders: row j lists ``rows`` by ascending
-    ``features[:, j]``, ties in the order they appear in ``rows``."""
+    ``features[:, j]``, ties in the order they appear in ``rows``.
+
+    Each column is sorted by numpy's default (vectorized, unstable) argsort.
+    Without ties the ascending order is unique, so it equals the stable one;
+    a column whose sorted values are not strictly increasing (a tie, or a
+    NaN) is sorted again with ``kind="stable"``.
+    """
     rows = np.asarray(rows, dtype=np.int64)
-    order = np.argsort(features[rows], axis=0, kind="stable")
-    return np.ascontiguousarray(rows[order].T)
+    cols = np.ascontiguousarray(features[rows].T)
+    orders = np.empty(cols.shape, dtype=np.int64)
+    for col, out in zip(cols, orders):
+        order = np.argsort(col)
+        ranked = col[order]
+        if not np.all(ranked[1:] > ranked[:-1]):
+            order = np.argsort(col, kind="stable")
+        out[:] = rows[order]
+    return orders
 
 
 def split_orders(orders: np.ndarray, left_rows: np.ndarray, n: int,

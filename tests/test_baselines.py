@@ -7,7 +7,7 @@ from sptlab.baselines import (OneVsAllPolicy, assign_treatments,
                               constant_price_policy, export_one_vs_all,
                               fit_ct_one_vs_all, fit_naive_distill, fit_pt,
                               historical_policy_revenue, naive_training_mse,
-                              one_vs_all_from_json)
+                              one_vs_all_from_json, sum_rows_pairwise)
 from sptlab.dataset import DataError, Dataset, PriceGrid, percentile_grid
 from sptlab.spt import FitConfig, LeafNode, export_tree
 from sptlab.synth import generate, make_spec
@@ -247,6 +247,18 @@ def test_naive_precomputed_targets_give_identical_tree():
     given = fit_naive_distill(teacher, data.features, grid, config,
                               data.feature_names, targets=targets)
     assert export_tree(given, "json") == export_tree(queried, "json")
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, 257])
+def test_sum_rows_pairwise_matches_numpy_row_sum(n_rows):
+    """The naive criterion sums squares over a column-major block in the
+    order numpy's ``sum(axis=1)`` adds a row-major one (pairwise)."""
+    rng = np.random.default_rng(n_rows)
+    for m in range(1, 300):  # every row length up to 130 and two halvings
+        a = rng.random((n_rows, m)) * 10.0 ** rng.integers(-8, 9, (n_rows, m))
+        out = np.empty(n_rows)
+        sum_rows_pairwise(a.T.copy(), out)  # it overwrites the block
+        assert out.tobytes() == a.sum(axis=1).tobytes(), m
 
 
 def test_naive_recovers_segment_prices():

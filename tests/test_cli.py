@@ -243,6 +243,7 @@ def test_experiment_bad_plan(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, message", [
     ([1, 2], "plan must be a JSON object, got list"),
+    ({"reps": 1}, "missing plan field 'specs'"),
     ({"specs": [1], "gbt": {"bogus": 1}}, "unknown gbt fields ['bogus']"),
     ({"specs": [1], "gbt": {"rounds": "x"}}, "gbt field 'rounds': bad value 'x'"),
     ({"specs": [1], "reps": "2"}, "plan field 'reps': bad value '2'"),
@@ -559,3 +560,102 @@ def test_fit_method_choices_are_the_fitted_policies():
     fit = build_parser()._subparsers._group_actions[0].choices["fit"]
     [method] = [a for a in fit._actions if a.dest == "method"]
     assert tuple(method.choices) == FITTED_POLICIES
+
+
+@pytest.mark.parametrize("command", ["export", "experiment"])
+def test_deeply_nested_json_is_located_error(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)  # json.loads recurses once per bracket
+    out = tmp_path / "o"
+    argv = (["export", "--tree", str(deep), "--format", "json", "--out", str(out)]
+            if command == "export" else
+            ["experiment", "--plan", str(deep), "--out-dir", str(out)])
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+    assert not out.exists()
+
+
+# --- dataset CSV and plan JSON fuzzing through main ------------------------------
+
+_ODD_CELLS = ["", "abc", "nan", "inf", "-inf", "1e400", "-0", " 2 ", "0x10",
+              "1_0", "0.5", "2", "-1", '"', "é"]
+
+
+@st.composite
+def _mutated_dataset_text(draw):
+    """A small dataset CSV with dropped or extra cells, odd cells, dropped
+    rows (the header included) and blank lines."""
+    rows = [["x0", "x1", "price", "sold"]] + \
+        [[str(i % 3), str(0.5 * i), str(10 + 2 * (i % 2)), str(i % 2)]
+         for i in range(6)]
+    for _ in range(draw(st.integers(1, 3))):
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, max(0, len(rows[r]) - 1)))
+        op = draw(st.sampled_from(["drop", "extra", "odd", "row", "blank"]))
+        if op == "drop" and rows[r]:
+            del rows[r][c]
+        elif op == "extra":
+            rows[r].insert(c, draw(st.sampled_from(_ODD_CELLS)))
+        elif op == "odd" and rows[r]:
+            rows[r][c] = draw(st.sampled_from(_ODD_CELLS))
+        elif op == "row":
+            del rows[r]
+        else:
+            rows.insert(r, [])
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_dataset_text(), st.sampled_from(["pt", "const"]))
+def test_fit_on_mutated_dataset_csv_never_raises(text, method):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["fit", "--data", str(path), "--method", method,
+                     "--depth", "1", "--teacher", "gbt:rounds=2",
+                     "--out", str(Path(tmp) / "policy.json")]) in (0, 1)
+
+
+_SMALL_PLAN = {"name": "fuzz", "specs": [4], "n_train": [20], "depths": [1],
+               "reps": 1, "policies": ["const", "pt"], "teacher": "oracle",
+               "truth": "oracle", "n_test": 20}
+_DEEP = "__deep__"  # written out as 5,000 nested empty lists
+_ODD_PLAN_VALUES = ["x", "", [], [[1]], [1, "a"], [2.5], True, None, {},
+                    {"rounds": 2}, 0.5, _INF, _DEEP]
+
+
+@st.composite
+def _mutated_plan_text(draw):
+    doc = copy.deepcopy(_SMALL_PLAN)
+    for _ in range(draw(st.integers(1, 3))):
+        odd = copy.deepcopy(draw(st.one_of(st.sampled_from(_ODD_PLAN_VALUES),
+                                           st.integers(-2, 8))))
+        op = draw(st.sampled_from(["drop", "kind", "item", "add", "root"]))
+        key = draw(st.sampled_from(sorted(_SMALL_PLAN)))
+        if op == "root":
+            doc = odd
+            break
+        if op == "drop":
+            doc.pop(key, None)
+        elif op == "item" and isinstance(doc.get(key), list) and doc[key]:
+            doc[key][0] = odd
+        elif op == "add":
+            doc["bogus"] = odd
+        else:
+            doc[key] = odd
+    return (json.dumps(doc).replace(f'"{_INF}"', "1e400")
+            .replace(f'"{_DEEP}"', "[" * 5000 + "]" * 5000))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_plan_text())
+def test_experiment_on_mutated_plan_never_raises(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.json"
+        path.write_text(text)
+        assert main(["experiment", "--plan", str(path),
+                     "--out-dir", str(Path(tmp) / "out")]) in (0, 1)

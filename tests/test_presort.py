@@ -61,6 +61,24 @@ def test_split_orders_match_children_presort(n, d, seed):
     np.testing.assert_array_equal(right, presort(X, rows[~go_left]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_presort_equals_stable_argsort_on_both_paths(n, seed):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.permutation(n).astype(float),  # distinct values
+                         rng.integers(0, 3, n).astype(float),  # ties
+                         np.where(rng.random(n) < 0.5, 0.0, -0.0),  # equal zeros
+                         rng.random(n)])
+    rows = rng.permutation(n)[:max(1, n // 2)]  # ties keep this order
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+        got = presort(X, rows)
+    want = rows[np.argsort(X[rows], axis=0, kind="stable")].T
+    np.testing.assert_array_equal(got, want)
+    stable = [c for c in spy.call_args_list if c.kwargs.get("kind") == "stable"]
+    tied = [j for j in range(X.shape[1]) if np.unique(X[rows, j]).size < rows.size]
+    assert len(stable) == len(tied)  # the stable sort runs for tied columns only
+
+
 def test_presort_keeps_caller_row_order_for_ties():
     X = np.asarray([[1.0], [0.0], [1.0], [0.0]])
     np.testing.assert_array_equal(presort(X, np.asarray([2, 3, 0, 1])),
