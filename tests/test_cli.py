@@ -243,7 +243,6 @@ def test_experiment_bad_plan(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, message", [
     ([1, 2], "plan must be a JSON object, got list"),
-    ({"reps": 1}, "missing plan field 'specs'"),
     ({"specs": [1], "gbt": {"bogus": 1}}, "unknown gbt fields ['bogus']"),
     ({"specs": [1], "gbt": {"rounds": "x"}}, "gbt field 'rounds': bad value 'x'"),
     ({"specs": [1], "reps": "2"}, "plan field 'reps': bad value '2'"),
@@ -262,6 +261,7 @@ def test_experiment_bad_plan(tmp_path, capsys):
     ({"specs": [1], "n_train": [500, 10]},
      "plan field 'n_train': bad value 10: must be >= 20"),
     ({"specs": [1], "n_train": 19}, "plan field 'n_train': bad value 19: must be >= 20"),
+    ({"reps": 1}, "missing plan field 'specs'"),
 ])
 def test_experiment_malformed_plan_is_located_error(tmp_path, capsys, doc, message):
     plan = tmp_path / "plan.json"
