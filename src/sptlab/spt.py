@@ -166,11 +166,10 @@ class _RevenueCriterion(StatsCriterion):
         return float(self.grid.prices[k]), float(sums[k])
 
 
-# Boundaries scored per block. Blocks of 4096 boundaries (0.3-0.6 MB of sums
-# at 9-18 statistics, within a core's L2 cache) swept n=50k nodes faster
-# than blocks of 1024 or 16384 boundaries or one whole-node block when sums
-# were row-major; in the (width, rows) layout blocks of 1024 to 65536 ran
-# within run-to-run noise of each other.
+# Boundaries scored per block. Blocks of 4096 keep ``ws.left`` and
+# ``ws.right`` at width * 4096 floats instead of width * n, which bounds a
+# fit's peak memory; n=50k fits run within noise of each other from 1024 to
+# 65536 boundaries per block.
 _BLOCK_ROWS = 4096
 
 

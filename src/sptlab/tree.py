@@ -123,15 +123,23 @@ def presort(features: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Each column is sorted by numpy's default (vectorized, unstable) argsort.
     Without ties the ascending order is unique, so it equals the stable one;
     a column whose sorted values are not strictly increasing (a tie, or a
-    NaN) is sorted again with ``kind="stable"``.
+    NaN) is sorted again with ``kind="stable"``. A column with a tie in an
+    evenly spaced sample of 256 to 511 of its values (all of them below 512
+    rows), as a feature of few levels has, goes to the stable sort at once.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.ascontiguousarray(features[rows].T)
     orders = np.empty(cols.shape, dtype=np.int64)
+    step = max(1, cols.shape[1] // 256)
     for col, out in zip(cols, orders):
-        order = np.argsort(col)
-        ranked = col[order]
-        if not np.all(ranked[1:] > ranked[:-1]):
+        sample = np.sort(col[::step])
+        order = None
+        if not np.any(sample[1:] == sample[:-1]):
+            order = np.argsort(col)
+            ranked = col[order]
+            if not np.all(ranked[1:] > ranked[:-1]):
+                order = None
+        if order is None:
             order = np.argsort(col, kind="stable")
         out[:] = rows[order]
     return orders

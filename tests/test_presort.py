@@ -79,6 +79,26 @@ def test_presort_equals_stable_argsort_on_both_paths(n, seed):
     assert len(stable) == len(tied)  # the stable sort runs for tied columns only
 
 
+def test_presort_tie_outside_the_sample_falls_back_to_stable():
+    n = 1000  # presort samples every 3rd value of a column
+    rng = np.random.default_rng(0)
+    rare = rng.permutation(n).astype(float)
+    rare[2] = rare[1]  # one tie, both values outside the sample
+    X = np.column_stack([rng.permutation(n).astype(float), rare,
+                         rng.integers(0, 5, n).astype(float)])
+    rows = rng.permutation(n)
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+        got = presort(X, np.arange(n))
+    want = np.argsort(X, axis=0, kind="stable").T
+    np.testing.assert_array_equal(got, want)
+    kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
+    # distinct: unstable only; rare tie: unstable, then stable; few levels:
+    # the sample shows the tie, so stable only
+    assert kinds == [None, None, "stable", "stable"]
+    np.testing.assert_array_equal(
+        presort(X, rows), rows[np.argsort(X[rows], axis=0, kind="stable")].T)
+
+
 def test_presort_keeps_caller_row_order_for_ties():
     X = np.asarray([[1.0], [0.0], [1.0], [0.0]])
     np.testing.assert_array_equal(presort(X, np.asarray([2, 3, 0, 1])),
