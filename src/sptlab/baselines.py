@@ -10,8 +10,8 @@ import numpy as np
 
 from .dataset import DataError, Dataset, PriceGrid, half_rows
 from .spt import (_BLOCK_ROWS, FitConfig, PolicyTree, StatsCriterion,
-                  SweepWorkspace, grow_tree, leaf_revenue, row_max,
-                  single_leaf_tree, split_node)
+                  SweepWorkspace, grow_tree, leaf_revenue, single_leaf_tree,
+                  split_node)
 from .teacher import RevenueMatrix, TeacherModel, probability_matrix
 from .tree import (grow_preorder, json_field, leaf_values, nodes_from_json,
                    nodes_to_json, presort)
@@ -66,7 +66,7 @@ class _PersonalizationCriterion(StatsCriterion):
         rev = sums[:self.m]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(rev, sums[self.m:], out=rev)
-        row_max(rev, out, np.fmax)
+        np.fmax.reduce(rev, axis=0, out=out)
 
     def leaf_payload(self, sums, count):
         avgs = self._avgs(sums)
@@ -108,6 +108,8 @@ def sum_rows_pairwise(block, out):
 class _MultiOutputMseCriterion(StatsCriterion):
     """Negative sum-of-squared-errors of the teacher probability vectors.
     The statistics are the targets, their squared norm and a count row."""
+
+    count_row = True
 
     def __init__(self, targets: np.ndarray, grid: PriceGrid):
         n, self.m = targets.shape
@@ -215,6 +217,7 @@ class _EffectVarianceCriterion(StatsCriterion):
     statistics are w, w * y, y and a count row."""
 
     WIDTH = 4  # statistics per row
+    count_row = True
 
     def __init__(self, y: np.ndarray, w: np.ndarray):
         super().__init__(np.vstack([w, w * y, y, np.ones(y.size)]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .dataset import DataError
+from .dataset import DataError, open_text
 from .tree import (SplitNode, check_structure, leaf_values, place_node, presort,
                    split_orders)
 
@@ -99,7 +99,7 @@ def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
         G, H = g[rows].sum(), h[rows].sum()
         nodes.append(ValueLeaf(-G / (H + l2)))
         rows_of[nid] = rows
-        cand = (None if orders is None  # no orders: under 2 * min_child rows
+        cand = (None if orders is None  # no orders: the node never splits
                 else _best_split(X, g, h, orders, G, H, min_child, l2))
         if cand is not None:  # only leaves that may split keep their orders
             orders_of[nid] = orders
@@ -113,14 +113,17 @@ def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
         rows = rows_of.pop(nid)
         go_left = X[rows, j] <= thr
         left, right = rows[go_left], rows[~go_left]
-        # a child under 2 * min_child rows has no split candidate
-        keep = (left.size >= 2 * min_child, right.size >= 2 * min_child)
+        n_leaves += 1
+        # a child under 2 * min_child rows has no split candidate, and the
+        # children of the split that reaches max_leaves are never split
+        last = n_leaves == max_leaves
+        keep = (not last and left.size >= 2 * min_child,
+                not last and right.size >= 2 * min_child)
         left_orders, right_orders = split_orders(orders_of.pop(nid), left,
                                                  X.shape[0], keep)
         nodes[nid] = SplitNode(j, thr, len(nodes), len(nodes) + 1)
         new_node(left, left_orders)
         new_node(right, right_orders)
-        n_leaves += 1
     return Tree(nodes), rows_of
 
 
@@ -201,8 +204,8 @@ def load_boosted_trees(path) -> BoostedTrees:
     """Inverse of ``save_boosted_trees``. A malformed file raises a DataError
     naming the path and line: a missing or unreadable line, a node id,
     child or feature out of range, or a tree that is not a proper binary
-    tree rooted at node 0."""
-    with open(path, "r", encoding="utf-8") as f:
+    tree rooted at node 0; a file that is not UTF-8, naming the path."""
+    with open_text(path, newline=None) as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or lines[0] != "sptlab-gbt v1":
         raise DataError(f"{path}: not a sptlab-gbt v1 model file")

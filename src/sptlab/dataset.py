@@ -7,6 +7,7 @@ import csv
 import itertools
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,19 @@ from .rng import CounterRng
 
 class DataError(ValueError):
     """Raised for malformed input data, with row/column location when known."""
+
+
+@contextmanager
+def open_text(path, newline=""):
+    """``open(path)`` for reading UTF-8 text (CSV by default: ``newline=""``).
+    A byte that is not UTF-8, or a CSV syntax error such as an open quote
+    that runs past the csv module's field size limit, raised while the file
+    is read raises a DataError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as f:
+            yield f
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -121,7 +135,7 @@ def load_csv(path) -> Dataset:
 
     Every other column is a numeric feature; file column order is preserved.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -168,7 +182,7 @@ def _bulk_cells(reader, width: int, sold_col: int) -> np.ndarray:
 def _checked_cells(path, header, sold_col: int) -> np.ndarray:
     """Row-by-row pass of load_csv: a DataError naming the line and column
     of the first bad cell in file order."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         next(reader)
         table = []
@@ -211,7 +225,7 @@ def write_csv(data: Dataset, path) -> None:
 
 def load_sale_history(path) -> SaleHistory:
     """Load a sale history CSV with columns timestamp, store_id, price."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]
@@ -224,12 +238,15 @@ def load_sale_history(path) -> SaleHistory:
         ts, ss, ps = [], [], []
         for line_no, row in enumerate(reader, start=2):
             try:
-                ts.append(int(row[ti]))
-                ss.append(int(row[si]))
+                ts.append(np.int64(int(row[ti])))
+                ss.append(np.int64(int(row[si])))
                 ps.append(float(row[pi]))
-            except (ValueError, IndexError):
+            except (ValueError, IndexError, OverflowError):  # past int64
                 raise DataError(f"{path}:{line_no}: malformed sale record {row!r}") from None
-    return SaleHistory(np.asarray(ts), np.asarray(ss), np.asarray(ps))
+    try:
+        return SaleHistory(np.asarray(ts), np.asarray(ss), np.asarray(ps))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def half_rows(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -127,11 +127,19 @@ class StatsCriterion:
     writes into ``out`` the scores of the nodes whose sums are the columns
     of the ``(width, nodes)`` block ``sums`` and may overwrite ``sums``.
     Policy-tree criteria also give ``leaf_payload(sums, count)`` ->
-    (price, revenue_sum)."""
+    (price, revenue_sum).
+
+    A subclass whose last statistic is that row of ones sets ``count_row``.
+    The sweep then gathers and cumulates only the ``self.gathered`` rows
+    above it and copies the count row's cumulative sums, which are exactly
+    1, 2, ..., n."""
+
+    count_row = False
 
     def __init__(self, cols):
         self.cols = cols
         self.stats = cols.T
+        self.gathered = cols.shape[0] - self.count_row
 
     def node_sums(self, rows):
         # stats[rows] is a C-order copy, whose sum adds the rows one by one
@@ -143,14 +151,6 @@ class StatsCriterion:
         return float(out[0])
 
 
-def row_max(block, out, pick=np.maximum):
-    """Elementwise maxima over the rows of a 2-D block into ``out``;
-    ``pick=np.fmax`` skips NaN entries."""
-    np.copyto(out, block[0])
-    for row in block[1:]:
-        pick(out, row, out=out)
-
-
 class _RevenueCriterion(StatsCriterion):
     """max-over-prices column-sum score for the student prescriptive tree."""
 
@@ -159,7 +159,7 @@ class _RevenueCriterion(StatsCriterion):
         self.grid = revmat.grid
 
     def scores_batch(self, sums, out):
-        row_max(sums, out)
+        np.maximum.reduce(sums, axis=0, out=out)
 
     def leaf_payload(self, sums, count):
         k = int(np.argmax(sums))  # first max = lowest price
@@ -181,7 +181,8 @@ class SweepWorkspace:
     rows)`` block of statistics for up to ``n_rows`` rows (the fit's largest
     node); ``left`` and ``right`` hold one ``(width, rows)`` block of
     boundaries. Each is flat, so that its block for any row count is
-    contiguous (``block``).
+    contiguous (``block``). ``counts`` is 1, 2, ..., ``n_rows``, the
+    cumulative sums of a count row.
     """
 
     def __init__(self, features, n_rows: int, width: int):
@@ -191,6 +192,7 @@ class SweepWorkspace:
         self.xs = np.empty(n_rows)
         self.gaps = np.empty(n_rows, dtype=bool)
         self.cum = np.empty(width * n_rows)
+        self.counts = np.arange(1.0, n_rows + 1)
         self.scores = np.empty((2, n_rows))
         block = min(n_rows, _BLOCK_ROWS)
         self.left = np.empty(width * block)
@@ -208,7 +210,8 @@ def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
 
     Only the gaps that leave ``min_leaf`` rows on each side are searched.
     The node's statistics are gathered into the ``(width, rows)`` block
-    ``ws.cum`` and each statistic's row is cumulated there. Boundaries are
+    ``ws.cum`` and each statistic's row is cumulated there, except a count
+    row, whose cumulative sums are copied from ``ws.counts``. Boundaries are
     scored in blocks of ``_BLOCK_ROWS``: when every searched gap is a
     boundary (a feature without ties) a block's left sums are a slice of
     ``ws.cum``, otherwise they are gathered into ``ws.left``; its right sums
@@ -224,8 +227,11 @@ def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
     k = int(np.count_nonzero(gaps))
     if k == 0:
         return None
-    cum = np.take(crit.cols, order, axis=1, out=ws.block(ws.cum, n), mode="clip")
-    np.cumsum(cum, axis=1, out=cum)
+    cum = ws.block(ws.cum, n)
+    g = crit.gathered
+    np.take(crit.cols[:g], order, axis=1, out=cum[:g], mode="clip")
+    np.cumsum(cum[:g], axis=1, out=cum[:g])
+    cum[g:] = ws.counts[:n]  # the count row, if the criterion has one
     total = cum[:, n - 1:]  # scoring may overwrite the searched window only
     pos = None if k == gaps.size else np.flatnonzero(gaps) + lo
     for s in range(0, k, _BLOCK_ROWS):

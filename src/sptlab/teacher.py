@@ -8,10 +8,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import boosting
-from .dataset import DataError, Dataset, PriceGrid
+from .dataset import DataError, Dataset, PriceGrid, open_text
 
 
 @dataclass(frozen=True)
@@ -211,13 +210,30 @@ def revenue_matrix(model: TeacherModel, features: np.ndarray,
     return RevenueMatrix(grid.prices * probs, grid)
 
 
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks of the values of ``x``, each tie sharing the mean of its
+    ranks, and all NaN when a value is NaN: the bits of
+    ``scipy.stats.rankdata(x)``. sptlab does not import scipy.stats, which
+    would more than double the start-up of every CLI command."""
+    x = np.ravel(np.asarray(x, dtype=np.float64))
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x)
+    xs = x[order]
+    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])  # first of each value
+    count = np.diff(start, append=x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(start + 1 + (count - 1) / 2, count)
+    return ranks
+
+
 def auc(model: TeacherModel, test: Dataset) -> float:
     """Mann-Whitney AUC of predicted probabilities at observed prices; ties 0.5."""
     y = test.outcomes
     if y.min() == y.max():
         raise DataError("AUC needs both classes in the test set")
     scores = model.predict_proba_batch(test.features, test.prices)
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
@@ -225,9 +241,10 @@ def auc(model: TeacherModel, test: Dataset) -> float:
 
 def load_table_teacher(path, grid: PriceGrid) -> TableTeacher:
     """Read an n x m probability matrix (CSV, no header) aligned to the grid;
-    a cell that is no number raises a DataError naming the path and line."""
+    a cell that is no number raises a DataError naming the path and line,
+    any other fault a DataError naming the path."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         for row in (row for row in reader if row):
             try:
@@ -239,7 +256,10 @@ def load_table_teacher(path, grid: PriceGrid) -> TableTeacher:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: ragged rows in table teacher file")
-    return TableTeacher(np.asarray(rows), grid)
+    try:
+        return TableTeacher(np.asarray(rows), grid)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 class TeacherGridPolicy:

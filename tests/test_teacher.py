@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,3 +471,37 @@ def test_auc_monotone_transform_invariance():
 def test_auc_single_class_error():
     with pytest.raises(DataError):
         auc(_FixedScores([0.1, 0.2]), _dataset_with_labels([1, 1]))
+
+
+_RANK_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 5e-324, 2.0**60,
+                math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_RANK_VALUES), st.floats()),
+                min_size=1, max_size=60))
+def test_average_ranks_bitwise_equal_to_scipy_rankdata(values):
+    """Ties (with +0.0 == -0.0), infinities and the all-NaN answer to any
+    NaN, as scipy's default nan_policy="propagate" gives."""
+    from scipy.stats import rankdata  # the reference; sptlab never imports it
+
+    x = np.asarray(values, dtype=np.float64)
+    got, want = teacher_module.average_ranks(x), rankdata(x)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    if np.isnan(x).any():
+        assert np.isnan(got).all()
+
+
+def test_import_leaves_scipy_stats_out():
+    """Each CLI command is a fresh interpreter, and importing scipy.stats
+    would more than double its start-up."""
+    code = ("import sys, sptlab, sptlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(teacher_module.__file__).parents[1]),
+               os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
