@@ -13,16 +13,15 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import baselines, experiments, synth
-from .dataset import (DataError, explicit_grid, load_csv, percentile_grid,
-                      write_csv)
+from .dataset import (DataError, explicit_grid, load_csv, open_text,
+                      percentile_grid, write_csv)
+from .evaluation import expected_revenue
 # fit_spt and revenue_matrix are unused here but stay for perfbench/layers.py to wrap
 from .spt import (EmptyLeafError, FitConfig, export_tree, fit_spt,
                   training_revenue, tree_from_json)
-from .teacher import (GbtConfig, TableTeacher, fit_gbt, load_table_teacher,
-                      probability_matrix, revenue_matrix)
+from .teacher import (GbtConfig, fit_gbt, load_table_teacher, probability_matrix,
+                      revenue_matrix)
 
 
 def _parse_gbt_config(text: str) -> GbtConfig:
@@ -105,8 +104,7 @@ def cmd_fit(args) -> int:
     teacher = probs = None
     if args.method in experiments.TEACHER_POLICIES:
         teacher = make_teacher()
-        probs = (teacher.probs if isinstance(teacher, TableTeacher)  # P[i, k]
-                 else probability_matrix(teacher, data.features, grid))
+        probs = probability_matrix(teacher, data.features, grid)
     policy = experiments.fit_policy(args.method, data, grid, config, args.seed,
                                     teacher, probs)
 
@@ -127,7 +125,7 @@ def cmd_fit(args) -> int:
 def _load_policy(path):
     """A policy file as (policy, parsed JSON); bad files raise a DataError
     naming the path."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path, newline=None) as f:
         text = f.read()
     try:
         doc = json.loads(text)
@@ -145,13 +143,9 @@ def _load_policy(path):
 def cmd_evaluate(args) -> int:
     policy, doc = _load_policy(args.tree)
     data = load_csv(args.data)
-    prices = policy.prescribe(data.features)
     truth = _teacher_source("--truth", args.truth, data,
                             explicit_grid(doc["price_grid"]), args.seed)()
-    X = (np.arange(data.n, dtype=np.float64)[:, None]  # a table is row-indexed
-         if isinstance(truth, TableTeacher) else data.features)
-    probs = truth.predict_proba_batch(X, prices)
-    value = float(np.mean(prices * probs))
+    value = expected_revenue(policy, data.features, truth)
     print(f"{value:.6f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -159,8 +159,12 @@ def load_csv(path) -> Dataset:
     if table.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
     names = tuple(header[i] for i in feat_cols)
-    return Dataset(table[:, feat_cols], table[:, price_col], table[:, sold_col],
-                   names)
+    try:
+        return Dataset(table[:, feat_cols], table[:, price_col], table[:, sold_col],
+                       names)
+    except DataError:  # a non-finite feature or price
+        _checked_cells(path, header, sold_col)  # raises, naming the first one
+        raise
 
 
 def _bulk_cells(reader, width: int, sold_col: int) -> np.ndarray:
@@ -181,7 +185,8 @@ def _bulk_cells(reader, width: int, sold_col: int) -> np.ndarray:
 
 def _checked_cells(path, header, sold_col: int) -> np.ndarray:
     """Row-by-row pass of load_csv: a DataError naming the line and column
-    of the first bad cell in file order."""
+    of the first bad cell (ragged row, non-numeric or non-finite value,
+    'sold' outside {0, 1}) in file order."""
     with open_text(path) as f:
         reader = csv.reader(f)
         next(reader)
@@ -197,6 +202,9 @@ def _checked_cells(path, header, sold_col: int) -> np.ndarray:
                     raise DataError(
                         f"{path}:{line_no}: non-numeric value {cell!r} in column '{header[i]}'"
                     ) from None
+                if i != sold_col and not math.isfinite(vals[-1]):
+                    raise DataError(
+                        f"{path}:{line_no}: non-finite value {cell!r} in column '{header[i]}'")
             if vals[sold_col] not in (0.0, 1.0):
                 raise DataError(
                     f"{path}:{line_no}: 'sold' must be 0 or 1, got {row[sold_col]!r}"

@@ -13,7 +13,8 @@ from importlib import resources
 import numpy as np
 
 from . import baselines, synth
-from .dataset import Dataset, PriceGrid, percentile_grid, split_halves
+from .dataset import (Dataset, PriceGrid, open_text, percentile_grid,
+                      split_halves)
 from .evaluation import expected_revenue
 from .rng import derive_seed
 from .spt import FitConfig, fit_spt
@@ -150,10 +151,11 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
 
 def load_plan(path_or_name) -> ExperimentPlan:
     """Load a plan JSON from a path, or a bundled plan by bare name; a bad
-    plan raises a PlanError naming it."""
+    plan raises a PlanError naming it, and a plan file that is not UTF-8 a
+    DataError naming it."""
     path = str(path_or_name)
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
+        with open_text(path, newline=None) as f:
             text = f.read()
     else:
         bundled = resources.files("sptlab").joinpath(f"plans/{path}.json")

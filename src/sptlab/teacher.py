@@ -40,11 +40,6 @@ class TeacherModel(abc.ABC):
     def predict_proba_batch(self, X: np.ndarray, p) -> np.ndarray:
         """Probabilities for rows of X at price p (scalar or per-row vector)."""
 
-    def predict_proba(self, x, p: float) -> float:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = float(self.predict_proba_batch(x, float(p))[0])
-        return out
-
     def _check_dim(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
@@ -60,11 +55,11 @@ class GradientBoostedTeacher(TeacherModel):
         self.booster = booster
         self.n_features = booster.n_features - 1
 
-    def predict_proba_batch(self, X, p, n_rounds: int | None = None):
+    def predict_proba_batch(self, X, p):
         X = self._check_dim(X)
         pcol = np.broadcast_to(np.asarray(p, dtype=np.float64), (X.shape[0],))
         aug = np.column_stack([X, pcol])
-        return self.booster.predict_proba(aug, n_rounds)
+        return self.booster.predict_proba(aug)
 
     def save(self, path) -> None:
         boosting.save_boosted_trees(self.booster, path)
@@ -88,10 +83,11 @@ class OracleTeacher(TeacherModel):
 
 
 class TableTeacher(TeacherModel):
-    """Row-indexed probability table aligned to a fixed price grid.
+    """Probability table over the rows of one dataset and a fixed price grid.
 
-    Queries identify the row by feature value (a single row-index feature);
-    prices must be members of the grid.
+    Row i of the table answers for row i of a query, whatever that row's
+    features: a query must have the table's row count, and its prices must
+    be members of the grid.
     """
 
     def __init__(self, probs: np.ndarray, grid: PriceGrid):
@@ -105,23 +101,20 @@ class TableTeacher(TeacherModel):
             raise DataError("table probabilities must lie in [0, 1]")
         self.probs = probs
         self.grid = grid
-        self.n_features = 1
-
-    def _grid_index(self, p: float) -> int:
-        hit = np.nonzero(np.isclose(self.grid.prices, p, rtol=1e-12, atol=1e-12))[0]
-        if hit.size == 0:
-            raise ValueError(f"price {p} is not on the table teacher's grid")
-        return int(hit[0])
 
     def predict_proba_batch(self, X, p):
-        X = self._check_dim(X)
-        rows = X[:, 0]
-        idx = rows.astype(np.int64)
-        if np.any(idx != rows) or idx.min() < 0 or idx.max() >= self.probs.shape[0]:
-            raise ValueError("table teacher queries must use valid integer row indices")
-        pvec = np.broadcast_to(np.asarray(p, dtype=np.float64), (X.shape[0],))
-        cols = np.asarray([self._grid_index(float(v)) for v in pvec])
-        return self.probs[idx, cols]
+        n = self.probs.shape[0]
+        rows = len(np.atleast_2d(X))
+        if rows != n:
+            raise ValueError(f"table teacher has {n} rows, the query has {rows}")
+        pvec = np.broadcast_to(np.asarray(p, dtype=np.float64), (n,))
+        # the first grid price within 1e-12 of each row's price
+        hits = np.isclose(self.grid.prices, pvec[:, None], rtol=1e-12, atol=1e-12)
+        cols = hits.argmax(axis=1)
+        off = ~hits.any(axis=1)
+        if off.any():
+            raise ValueError(f"price {pvec[off][0]} is not on the table teacher's grid")
+        return self.probs[np.arange(n), cols]
 
 
 @dataclass(frozen=True)

@@ -533,6 +533,56 @@ def test_fit_naive_with_table_teacher_uses_rows_not_features(tmp_path):
     assert tree.predict_price([7.0, 1.0]) == 12.0
 
 
+def _write_table(path, probs):
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in probs.tolist()))
+
+
+@pytest.mark.parametrize("method", TEACHER_POLICIES)
+def test_fit_with_table_teacher_learns_from_the_table(tmp_path, method):
+    data = tmp_path / "d.csv"
+    assert run_cli("synth", "--spec", "4", "--n", "300", "--seed", "1",
+                   "--out", str(data)) == 0
+    learn = load_csv(data)
+    grid = percentile_grid(learn.prices)
+    probs = np.random.default_rng(2).uniform(size=(learn.n, grid.m))
+    table = tmp_path / "t.csv"
+    _write_table(table, probs)
+    out = tmp_path / "p.json"
+    assert run_cli("fit", "--data", str(data), "--method", method, "--depth", "2",
+                   "--teacher", f"table:{table}", "--seed", "1",
+                   "--out", str(out)) == 0
+    got = json.loads(out.read_text())
+    del got["meta"]
+    policy = fit_policy(method, learn, grid, FitConfig.for_knob(2, None), 1,
+                        probs=probs)
+    assert got == json.loads(export_tree(policy, "json"))
+
+
+def test_evaluate_table_truth_reads_row_i_at_the_prescribed_price(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,price,sold\n5.0,10.0,1\n-2.5,12.0,0\n0.25,14.0,1\n9.0,10.0,0\n")
+    grid = [10.0, 12.0, 14.0]
+    tree = tmp_path / "tree.json"  # a <= 1.0 costs 12, else 14
+    tree.write_text(json.dumps({
+        "price_grid": grid, "root": 0, "feature_names": ["a"],
+        "nodes": [{"id": 0, "kind": "split", "feature": 0, "threshold": 1.0,
+                   "left": 1, "right": 2},
+                  {"id": 1, "kind": "leaf", "price": 12.0, "revenue_sum": 0.0,
+                   "n_train": 2},
+                  {"id": 2, "kind": "leaf", "price": 14.0, "revenue_sum": 0.0,
+                   "n_train": 2}]}))
+    probs = np.asarray([[0.9, 0.8, 0.7], [0.6, 0.5, 0.4],
+                        [0.3, 0.2, 0.1], [0.95, 0.85, 0.75]])
+    truth = tmp_path / "t.csv"
+    _write_table(truth, probs)
+    assert run_cli("evaluate", "--tree", str(tree), "--data", str(data),
+                   "--truth", f"table:{truth}") == 0
+    prices = np.asarray([14.0, 12.0, 12.0, 14.0])
+    k = np.searchsorted(grid, prices)
+    expect = float(np.mean(prices * probs[np.arange(4), k]))
+    assert capsys.readouterr().out == f"{expect:.6f}\n"
+
+
 @pytest.mark.parametrize("method", FITTED_POLICIES)
 def test_fit_writes_the_policy_the_sweep_fits(tmp_path, method):
     data = tmp_path / "d.csv"
@@ -572,6 +622,24 @@ def test_deeply_nested_json_is_located_error(tmp_path, capsys, command):
             ["experiment", "--plan", str(deep), "--out-dir", str(out)])
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["export", "evaluate", "experiment"])
+def test_json_that_is_not_utf8_is_located_error(tmp_path, capsys, command):
+    data, _, truth = write_toy_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"a": "\xff"}')
+    out = tmp_path / "o"
+    argv = {"export": ["export", "--tree", str(bad), "--format", "json",
+                       "--out", str(out)],
+            "evaluate": ["evaluate", "--tree", str(bad), "--data", str(data),
+                         "--truth", f"table:{truth}", "--out", str(out)],
+            "experiment": ["experiment", "--plan", str(bad), "--out-dir", str(out)]}
+    assert run_cli(*argv[command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 7: "
+        "invalid start byte\n")
     assert not out.exists()
 
 

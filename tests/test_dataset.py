@@ -78,6 +78,17 @@ def test_load_csv_reports_first_bad_row_in_file_order(tmp_path):
         load_csv(f)
 
 
+@pytest.mark.parametrize("row, column", [("inf,5.0,1", "x0"), ("1.0,nan,0", "price"),
+                                         ("-inf,1e400,1", "x0"), ("1.0,1e400,1", "price")])
+def test_load_csv_non_finite_cell_names_path_line_and_column(tmp_path, row, column):
+    f = tmp_path / "d.csv"
+    f.write_text(f"x0,price,sold\n1.0,5.0,1\n{row}\n2.0,4.0,0\n")
+    cell = row.split(",")[["x0", "price"].index(column)]
+    with pytest.raises(DataError) as err:
+        load_csv(f)
+    assert str(err.value) == f"{f}:3: non-finite value {cell!r} in column '{column}'"
+
+
 def test_load_csv_header_only_has_no_rows(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("x0,price,sold\n")

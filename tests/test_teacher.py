@@ -79,10 +79,10 @@ def test_prefix_stability():
     data = separable_dataset(300)
     short = fit_gbt(data, GbtConfig(rounds=5))
     long = fit_gbt(data, GbtConfig(rounds=10))
-    X = data.features
+    aug = np.column_stack([data.features, data.prices])
     np.testing.assert_array_equal(
-        short.predict_proba_batch(X, data.prices),
-        long.predict_proba_batch(X, data.prices, n_rounds=5))
+        short.predict_proba_batch(data.features, data.prices),
+        long.booster.predict_proba(aug, 5))
 
 
 def test_gbt_save_load_round_trip(tmp_path):
@@ -294,10 +294,10 @@ def test_fit_training_margin_equals_predict_margin(monkeypatch):
 def test_oracle_teacher_examples():
     spec = make_spec(1)
     t = oracle_teacher(spec)
-    assert t.predict_proba([5.0, 0.0], 5.0) == 0.5
-    assert t.predict_proba([5.0, 0.0], 1e6) < 1e-15
+    assert t.predict_proba_batch([5.0, 0.0], 5.0).tolist() == [0.5]
+    assert t.predict_proba_batch([5.0, 0.0], 1e6)[0] < 1e-15
     with pytest.raises(ValueError):
-        t.predict_proba([5.0], 5.0)
+        t.predict_proba_batch([5.0], 5.0)
 
 
 def test_table_teacher_lookup(tmp_path):
@@ -305,12 +305,13 @@ def test_table_teacher_lookup(tmp_path):
     f.write_text("0.1,0.2,0.25\n0.5,0.6,0.7\n")
     grid = PriceGrid(np.asarray([1.0, 2.0, 3.0]))
     t = load_table_teacher(f, grid)
-    assert t.predict_proba([0.0], 3.0) == 0.25
-    assert t.predict_proba([1.0], 1.0) == 0.5
-    with pytest.raises(ValueError):
-        t.predict_proba([0.0], 2.5)  # off-grid price
-    with pytest.raises(ValueError):
-        t.predict_proba([5.0], 1.0)  # row out of range
+    X = np.asarray([[7.5, -1.0], [3.0, 0.5]])  # features play no part
+    assert t.predict_proba_batch(X, 3.0).tolist() == [0.25, 0.7]
+    assert t.predict_proba_batch(X, [3.0, 1.0]).tolist() == [0.25, 0.5]
+    with pytest.raises(ValueError, match="not on the table teacher's grid"):
+        t.predict_proba_batch(X, [3.0, 2.5])  # off-grid price
+    with pytest.raises(ValueError, match="table teacher has 2 rows, the query has 1"):
+        t.predict_proba_batch(X[:1], 1.0)  # row count differs from the table's
 
 
 def test_table_teacher_validation(tmp_path):
@@ -329,8 +330,43 @@ def test_table_teacher_single_column(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("0.3\n0.7\n")
     t = load_table_teacher(f, PriceGrid(np.asarray([5.0])))
-    assert t.predict_proba([0.0], 5.0) == 0.3
-    assert t.predict_proba([1.0], 5.0) == 0.7
+    assert t.predict_proba_batch(np.zeros((2, 3)), 5.0).tolist() == [0.3, 0.7]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_table_query_reads_row_i_at_the_grid_column(data):
+    """Row i of a query reads row i of the table at the grid column of its
+    price, for grid prices and prices a few ulps off them; an off-grid
+    price or another row count raises a ValueError."""
+    n = data.draw(st.integers(1, 8))
+    cents = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5,
+                               unique=True))
+    grid = PriceGrid(np.sort(np.asarray(cents)) / 100.0)
+    probs = np.asarray(data.draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=grid.m, max_size=grid.m),
+        min_size=n, max_size=n)))
+    table = teacher_module.TableTeacher(probs, grid)
+    X = np.asarray(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    k = np.asarray(data.draw(st.lists(st.integers(0, grid.m - 1),
+                                      min_size=n, max_size=n)))
+    ulps = np.asarray(data.draw(st.lists(st.integers(-1000, 1000),
+                                         min_size=n, max_size=n)))
+    on_grid = grid.prices[k]
+    near = on_grid + ulps * np.spacing(on_grid)  # within rtol = 1e-12
+    expect = probs[np.arange(n), k]
+    assert table.predict_proba_batch(X[:, None], on_grid).tobytes() == expect.tobytes()
+    assert table.predict_proba_batch(X[:, None], near).tobytes() == expect.tobytes()
+    assert (table.predict_proba_batch(X[:, None], float(on_grid[0])).tobytes()
+            == probs[:, k[0]].tobytes())
+
+    off = on_grid.copy()
+    off[data.draw(st.integers(0, n - 1))] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="not on the table teacher's grid"):
+        table.predict_proba_batch(X[:, None], off)
+    rows = data.draw(st.sampled_from([n - 1, n + 1]))
+    with pytest.raises(ValueError, match=f"table teacher has {n} rows"):
+        table.predict_proba_batch(np.zeros((rows, 1)), on_grid[0])
 
 
 # --- revenue matrix ------------------------------------------------------------
@@ -416,9 +452,6 @@ class _FixedScores:
 
     def predict_proba_batch(self, X, p):
         return self.scores.copy()
-
-    def predict_proba(self, x, p):
-        raise NotImplementedError
 
 
 def _dataset_with_labels(labels):
