@@ -8,11 +8,12 @@ ground-truth counterfactuals on fresh draws.
 import numpy as np
 
 from sptlab import (FitConfig, OraclePolicy, TeacherGridPolicy,
-                    assign_treatments, constant_price_policy, derive_seed,
-                    expected_revenue, fine_price_grid, fit_ct_one_vs_all,
-                    fit_gbt, fit_naive_distill, fit_pt, fit_spt, generate,
+                    constant_price_policy, derive_seed, expected_revenue,
+                    fine_price_grid, fit_ct_one_vs_all, fit_gbt,
+                    fit_naive_distill, fit_pt, fit_spt, generate,
                     historical_policy_revenue, make_spec, oracle_teacher,
-                    percentile_grid, policy_mse, revenue_matrix)
+                    percentile_grid, policy_mse, probability_matrix,
+                    revenue_matrix)
 
 SPEC_ID, N, SEED, DEPTH = 4, 5000, 0, 3
 
@@ -25,17 +26,16 @@ grid = percentile_grid(train.prices)
 print(f"price grid ({grid.m} prices):", np.round(grid.prices, 2))
 
 teacher = fit_gbt(train)
-revmat = revenue_matrix(teacher, train.features, grid)
-assign = assign_treatments(train.prices, grid)
+probs = probability_matrix(teacher, train.features, grid)
+revmat = revenue_matrix(probs, grid)
 config = FitConfig(max_depth=DEPTH)
 
 spt = fit_spt(train.features, revmat, config, train.feature_names)
 policies = {
     "spt": spt,
-    "pt": fit_pt(train, grid, assign, config),
-    "ct (one-vs-all)": fit_ct_one_vs_all(train, grid, assign, config,
-                                         derive_seed(SEED, 2)),
-    "naive distill": fit_naive_distill(teacher, train.features, grid, config),
+    "pt": fit_pt(train, grid, config),
+    "ct (one-vs-all)": fit_ct_one_vs_all(train, grid, config, derive_seed(SEED, 2)),
+    "naive distill": fit_naive_distill(train.features, probs, grid, config),
     "teacher policy": TeacherGridPolicy(teacher, grid),
     "constant price": constant_price_policy(revmat),
     "optimal (fine grid)": OraclePolicy(

@@ -7,7 +7,7 @@ unbounded depth).
 
 from sptlab import (FitConfig, derive_seed, expected_revenue, fit_gbt,
                     fit_spt, generate, make_spec, oracle_teacher,
-                    percentile_grid, revenue_matrix)
+                    percentile_grid, probability_matrix, revenue_matrix)
 
 spec = make_spec(4, 0)
 train = generate(spec, 5000, 0)
@@ -15,7 +15,7 @@ test = generate(spec, 5000, derive_seed(0, 1))
 truth = oracle_teacher(spec)
 grid = percentile_grid(train.prices)
 teacher = fit_gbt(train)
-revmat = revenue_matrix(teacher, train.features, grid)
+revmat = revenue_matrix(probability_matrix(teacher, train.features, grid), grid)
 
 print("depth sweep (full-width trees):")
 for depth in range(6):

@@ -11,10 +11,9 @@ from .teacher import (GbtConfig, GradientBoostedTeacher, OracleTeacher,
 from .spt import (FitConfig, PolicyTree, SplitCandidate, best_split,
                   export_tree, fit_spt, leaf_revenue, single_leaf_tree,
                   training_revenue, tree_from_json)
-from .baselines import (OneVsAllPolicy, TreatmentAssignment, assign_treatments,
-                        constant_price_policy, export_one_vs_all,
-                        fit_ct_one_vs_all, fit_naive_distill, fit_pt,
-                        historical_policy_revenue, naive_training_mse,
+from .baselines import (OneVsAllPolicy, assign_treatments, constant_price_policy,
+                        export_one_vs_all, fit_ct_one_vs_all, fit_naive_distill,
+                        fit_pt, historical_policy_revenue, naive_training_mse,
                         one_vs_all_from_json)
 from .synth import (SPEC_IDS, OraclePolicy, SyntheticSpec, fine_price_grid,
                     generate, make_spec, oracle_optimal, oracle_optimal_batch,

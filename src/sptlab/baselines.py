@@ -12,20 +12,14 @@ from .dataset import DataError, Dataset, PriceGrid, half_rows
 from .spt import (_BLOCK_ROWS, FitConfig, PolicyTree, StatsCriterion,
                   SweepWorkspace, grow_tree, leaf_revenue, single_leaf_tree,
                   split_node)
-from .teacher import RevenueMatrix, TeacherModel, probability_matrix
+from .teacher import RevenueMatrix, TeacherModel
 from .tree import (grow_preorder, json_field, leaf_values, nodes_from_json,
                    nodes_to_json, presort)
 
 
-@dataclass(frozen=True)
-class TreatmentAssignment:
-    """Observed prices snapped to grid indices (nearest price, ties to lower)."""
-
-    indices: np.ndarray
-    grid: PriceGrid
-
-
-def assign_treatments(prices, grid: PriceGrid) -> TreatmentAssignment:
+def assign_treatments(prices, grid: PriceGrid) -> np.ndarray:
+    """Each observed price's treatment: the index of its nearest grid price,
+    ties to the lower, as a read-only int64 array."""
     p = np.asarray(prices, dtype=np.float64)
     pos = np.searchsorted(grid.prices, p)
     lo = np.clip(pos - 1, 0, grid.m - 1)
@@ -34,7 +28,7 @@ def assign_treatments(prices, grid: PriceGrid) -> TreatmentAssignment:
     d_hi = np.abs(grid.prices[hi] - p)
     idx = np.where(d_lo <= d_hi, lo, hi).astype(np.int64)
     idx.flags.writeable = False
-    return TreatmentAssignment(idx, grid)
+    return idx
 
 
 class _PersonalizationCriterion(StatsCriterion):
@@ -46,14 +40,15 @@ class _PersonalizationCriterion(StatsCriterion):
     used by the other trees.
     """
 
-    def __init__(self, data: Dataset, assign: TreatmentAssignment):
-        n, m = data.n, assign.grid.m
+    def __init__(self, data: Dataset, grid: PriceGrid):
+        n, m = data.n, grid.m
+        treatments = assign_treatments(data.prices, grid)
         cols = np.zeros((2 * m, n))
         rows = np.arange(n)
-        cols[assign.indices, rows] = data.prices * data.outcomes
-        cols[m + assign.indices, rows] = 1.0
+        cols[treatments, rows] = data.prices * data.outcomes
+        cols[m + treatments, rows] = 1.0
         super().__init__(cols)
-        self.grid = assign.grid
+        self.grid = grid
         self.m = m
 
     def _avgs(self, sums):
@@ -139,26 +134,20 @@ class _MultiOutputMseCriterion(StatsCriterion):
         return float(self.grid.prices[k]), float(self.grid.prices[k] * s[k])
 
 
-def fit_pt(data: Dataset, grid: PriceGrid, assign: TreatmentAssignment,
-           config: FitConfig) -> PolicyTree:
+def fit_pt(data: Dataset, grid: PriceGrid, config: FitConfig) -> PolicyTree:
     """Personalization tree: greedy maximization of per-treatment averages."""
-    crit = _PersonalizationCriterion(data, assign)
-    return grow_tree(data.features, crit, config, data.feature_names, grid.prices)
+    return grow_tree(data.features, _PersonalizationCriterion(data, grid), config,
+                     data.feature_names)
 
 
-def fit_naive_distill(teacher: TeacherModel, features, grid: PriceGrid,
-                      config: FitConfig, feature_names=None,
-                      targets=None) -> PolicyTree:
-    """Distill-then-optimize: regress the teacher's probability vector with a
-    multi-output MSE tree, then price each leaf by its mean predicted demand.
-
-    ``targets`` may pass the teacher's n x m probability matrix when the
-    caller already has it; otherwise the teacher is queried over the grid."""
+def fit_naive_distill(features, probs, grid: PriceGrid, config: FitConfig,
+                      feature_names=None) -> PolicyTree:
+    """Distill-then-optimize: regress the teacher's probability vectors
+    ``probs`` = P[i, k] = f(x_i, p_k) with a multi-output MSE tree, then price
+    each leaf by its mean predicted demand."""
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if targets is None:
-        targets = probability_matrix(teacher, X, grid)
-    return grow_tree(X, _MultiOutputMseCriterion(targets, grid), config,
-                     feature_names, grid.prices)
+    return grow_tree(X, _MultiOutputMseCriterion(probs, grid), config,
+                     feature_names)
 
 
 def naive_training_mse(tree: PolicyTree, features, targets) -> float:
@@ -303,10 +292,12 @@ class OneVsAllPolicy:
         return float(np.mean(counts))
 
 
-def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, assign: TreatmentAssignment,
-                      config: FitConfig, seed: int) -> OneVsAllPolicy:
-    """Fit m one-vs-all honest causal trees; the sample is split once (by
-    seed) into structure and estimation halves shared by all treatments."""
+def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, config: FitConfig,
+                      seed: int) -> OneVsAllPolicy:
+    """Fit one honest causal tree per grid price, each observed price snapped
+    to its nearest grid price; the sample is split once (by seed) into
+    structure and estimation halves shared by all treatments."""
+    treatments = assign_treatments(data.prices, grid)
     struct_rows, est_rows = half_rows(data.n, seed)
     X = data.features
     y = data.outcomes.astype(np.float64)
@@ -314,7 +305,7 @@ def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, assign: TreatmentAssignmen
     ws = SweepWorkspace(X, struct_rows.size, _EffectVarianceCriterion.WIDTH)
     trees = []
     for t in range(grid.m):
-        w = (assign.indices == t).astype(np.float64)
+        w = (treatments == t).astype(np.float64)
         if w.sum() < 1 or (data.n - w.sum()) < 1:
             raise DataError(f"treatment {t} has an empty treated or control group")
         trees.append(_fit_effect_tree(ws, X, y, w, struct_rows, struct_orders,

@@ -20,20 +20,19 @@ from .evaluation import expected_revenue
 # fit_spt and revenue_matrix are unused here but stay for perfbench/layers.py to wrap
 from .spt import (EmptyLeafError, FitConfig, export_tree, fit_spt,
                   training_revenue, tree_from_json)
-from .teacher import (GbtConfig, fit_gbt, load_table_teacher, probability_matrix,
-                      revenue_matrix)
+from .teacher import (GBT_OPTION_KINDS, GbtConfig, fit_gbt, load_table_teacher,
+                      probability_matrix, revenue_matrix)
 
 
 def _parse_gbt_config(text: str) -> GbtConfig:
-    kinds = {f.name: type(f.default) for f in fields(GbtConfig)}
     kwargs = {}
     if text:
         for item in text.split(","):
             key, _, value = item.partition("=")
-            if key not in kinds:
+            if key not in GBT_OPTION_KINDS:
                 raise DataError(f"unknown gbt option {key!r}")
             try:
-                kwargs[key] = kinds[key](value)
+                kwargs[key] = GBT_OPTION_KINDS[key](value)
             except ValueError:
                 raise DataError(f"gbt option {key!r}: bad value {value!r}") from None
     return GbtConfig(**kwargs)
@@ -101,12 +100,9 @@ def cmd_fit(args) -> int:
              "depth": args.depth, "minsplit": args.minsplit, "seed": args.seed,
              "teacher": args.teacher}
     make_teacher = _teacher_source("--teacher", args.teacher, data, grid, args.seed)
-    teacher = probs = None
-    if args.method in experiments.TEACHER_POLICIES:
-        teacher = make_teacher()
-        probs = probability_matrix(teacher, data.features, grid)
-    policy = experiments.fit_policy(args.method, data, grid, config, args.seed,
-                                    teacher, probs)
+    probs = (probability_matrix(make_teacher(), data.features, grid)
+             if args.method in experiments.TEACHER_POLICIES else None)
+    policy = experiments.fit_policy(args.method, data, grid, config, args.seed, probs)
 
     if isinstance(policy, baselines.OneVsAllPolicy):
         text = baselines.export_one_vs_all(policy)
@@ -143,6 +139,10 @@ def _load_policy(path):
 def cmd_evaluate(args) -> int:
     policy, doc = _load_policy(args.tree)
     data = load_csv(args.data)
+    names = getattr(policy, "feature_names", ())  # one-vs-all files carry none
+    if names and names != data.feature_names:
+        raise DataError(f"{args.tree}: the policy splits on features {','.join(names)}"
+                        f"; {args.data} has {','.join(data.feature_names)}")
     truth = _teacher_source("--truth", args.truth, data,
                             explicit_grid(doc["price_grid"]), args.seed)()
     value = expected_revenue(policy, data.features, truth)

@@ -150,7 +150,7 @@ def load_csv(path) -> Dataset:
         sold_col = header.index("sold")
         feat_cols = [i for i in range(len(header)) if i not in (price_col, sold_col)]
         try:
-            table = _bulk_cells(reader, len(header), sold_col)
+            table = _bulk_cells(reader, len(header))
         except ValueError:
             table = None
     if table is None:  # some cell is bad: name the first one
@@ -162,13 +162,14 @@ def load_csv(path) -> Dataset:
     try:
         return Dataset(table[:, feat_cols], table[:, price_col], table[:, sold_col],
                        names)
-    except DataError:  # a non-finite feature or price
+    except DataError:  # a non-finite feature or price, or 'sold' not 0 or 1
         _checked_cells(path, header, sold_col)  # raises, naming the first one
         raise
 
 
-def _bulk_cells(reader, width: int, sold_col: int) -> np.ndarray:
-    """All remaining rows as one float matrix; ValueError on any bad row."""
+def _bulk_cells(reader, width: int) -> np.ndarray:
+    """All remaining rows as one float matrix; ValueError on a ragged row or
+    a cell that is no number."""
     def rows():
         for row in reader:
             if len(row) != width:
@@ -176,11 +177,7 @@ def _bulk_cells(reader, width: int, sold_col: int) -> np.ndarray:
             yield row
     cells = np.fromiter(map(float, itertools.chain.from_iterable(rows())),
                         dtype=np.float64)
-    table = cells.reshape(-1, width)
-    sold = table[:, sold_col]
-    if not np.all((sold == 0.0) | (sold == 1.0)):
-        raise ValueError("'sold' outside {0, 1}")
-    return table
+    return cells.reshape(-1, width)
 
 
 def _checked_cells(path, header, sold_col: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 from .dataset import PriceGrid
 from .rng import CounterRng
 from .spt import LeafNode, PolicyTree
-from .teacher import TeacherModel, revenue_matrix
+from .teacher import TeacherModel, probability_matrix, revenue_matrix
 from .tree import check_structure, grow_preorder
 
 
@@ -82,7 +82,7 @@ def hypercube_policy(truth_or_teacher: TeacherModel, grid: PriceGrid, k: int,
     # which also includes 0. Matches "left iff x <= s" routing at s = c/m.
     cells = np.clip(np.ceil(X * m).astype(np.int64) - 1, 0, m - 1)
     flat = np.ravel_multi_index(tuple(cells.T), (m,) * d)
-    rev = revenue_matrix(truth_or_teacher, X, grid).values
+    rev = revenue_matrix(probability_matrix(truth_or_teacher, X, grid), grid).values
     cell_sums = np.zeros((m ** d, grid.m))
     np.add.at(cell_sums, flat, rev)
     cell_counts = np.bincount(flat, minlength=m ** d)
@@ -182,7 +182,8 @@ def verify_regret_bound(truth: TeacherModel, grid: PriceGrid, k: int, d: int,
     prescribed = policy.prescribe(tests)
     rev_hat = prescribed * truth.predict_proba_batch(tests, prescribed)
 
-    rev_star = revenue_matrix(truth, tests, grid).values.max(axis=1)
+    rev_star = revenue_matrix(probability_matrix(truth, tests, grid),
+                              grid).values.max(axis=1)
 
     regret = float((rev_star - rev_hat).max())
     L = numeric_lipschitz(truth, d, grid)

@@ -7,7 +7,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -18,8 +18,8 @@ from .dataset import (Dataset, PriceGrid, open_text, percentile_grid,
 from .evaluation import expected_revenue
 from .rng import derive_seed
 from .spt import FitConfig, fit_spt
-from .teacher import (GbtConfig, TeacherGridPolicy, TeacherModel, fit_gbt,
-                      probability_matrix, revenue_matrix)
+from .teacher import (GBT_OPTION_KINDS, GbtConfig, TeacherGridPolicy,
+                      TeacherModel, fit_gbt, probability_matrix, revenue_matrix)
 
 POLICY_NAMES = ("spt", "pt", "ct", "naive", "teacher", "const", "optimal",
                 "no_change")
@@ -101,7 +101,6 @@ _PLAN_KINDS = {"specs": [int], "n_train": (int, [int]), "depths": (None, [int]),
                "minsplits": (None, [int]), "reps": int, "base_seed": int,
                "policies": [str], "teacher": str, "truth": str, "n_test": int,
                "gbt": (None, dict), "name": str}
-_GBT_KINDS = {f.name: type(f.default) for f in fields(GbtConfig)}
 
 
 def _is_kind(value, kind) -> bool:
@@ -141,7 +140,7 @@ def plan_from_dict(doc: dict) -> ExperimentPlan:
     if kwargs.get("minsplits") is not None and "depths" not in doc:
         kwargs["depths"] = None
     if doc.get("gbt"):
-        _check_fields(doc["gbt"], _GBT_KINDS, "gbt")
+        _check_fields(doc["gbt"], GBT_OPTION_KINDS, "gbt")
         try:
             kwargs["gbt"] = GbtConfig(**doc["gbt"])
         except ValueError as exc:
@@ -226,38 +225,35 @@ def prepare_cell_inputs(plan: ExperimentPlan, spec_id: int, n: int,
 
 
 def fit_policy(name: str, learn: Dataset, grid: PriceGrid, config: FitConfig,
-               seed: int, teacher: TeacherModel | None = None, probs=None):
+               seed: int, probs=None):
     """Fit the policy ``name``, one of FITTED_POLICIES, on ``learn``. The
     TEACHER_POLICIES learn from ``probs`` = P[i, k] = f(x_i, p_k) on ``learn``
-    over ``grid`` (queried from ``teacher`` when None); pt and ct learn from
-    the observed sales, and ``seed`` splits ct's sample in halves."""
+    over ``grid``; pt and ct learn from the observed sales, each price snapped
+    to ``grid``, and ``seed`` splits ct's sample in halves."""
     if name not in FITTED_POLICIES:
         raise ValueError(f"unknown fitted policy {name!r}; valid: {FITTED_POLICIES}")
+    if name in TEACHER_POLICIES and probs is None:
+        raise ValueError(f"policy {name!r} learns from the teacher: it needs probs")
     if name == "naive":
-        return baselines.fit_naive_distill(teacher, learn.features, grid, config,
-                                           learn.feature_names, targets=probs)
-    if name in ("pt", "ct"):
-        assign = baselines.assign_treatments(learn.prices, grid)
-        if name == "pt":
-            return baselines.fit_pt(learn, grid, assign, config)
-        return baselines.fit_ct_one_vs_all(learn, grid, assign, config, seed)
-    revmat = revenue_matrix(teacher, learn.features, grid, probs)
+        return baselines.fit_naive_distill(learn.features, probs, grid, config,
+                                           learn.feature_names)
+    if name == "pt":
+        return baselines.fit_pt(learn, grid, config)
+    if name == "ct":
+        return baselines.fit_ct_one_vs_all(learn, grid, config, seed)
+    revmat = revenue_matrix(probs, grid)
     if name == "spt":
         return fit_spt(learn.features, revmat, config, learn.feature_names)
     return baselines.constant_price_policy(revmat)
 
 
 def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
-             depth=None, minsplit=None, *,
-             inputs: CellInputs | None = None) -> list[dict]:
+             depth=None, minsplit=None, *, inputs: CellInputs) -> list[dict]:
     """One replication at one depth or minsplit: fit every requested policy
     and score it on fresh draws; returns one result row per policy.
 
     ``inputs`` are the cell's ``prepare_cell_inputs(plan, spec_id, n, seed)``,
-    which a sweep builds once and shares across its knob values; without
-    them the cell builds its own, with identical results."""
-    if inputs is None:
-        inputs = prepare_cell_inputs(plan, spec_id, n, seed)
+    which a sweep builds once and shares across its knob values."""
     learn, test, truth, grid = inputs.learn, inputs.test, inputs.truth, inputs.grid
     config = FitConfig.for_knob(depth, minsplit)
 
@@ -265,7 +261,7 @@ def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
     for name in plan.policies:
         if name in FITTED_POLICIES:
             policy = fit_policy(name, learn, grid, config, derive_seed(seed, _SALT_CT),
-                                inputs.teacher, inputs.probs)
+                                inputs.probs)
         elif name == "teacher":
             policy = TeacherGridPolicy(inputs.teacher, grid)
         elif name == "optimal":

@@ -127,7 +127,7 @@ class StatsCriterion:
     writes into ``out`` the scores of the nodes whose sums are the columns
     of the ``(width, nodes)`` block ``sums`` and may overwrite ``sums``.
     Policy-tree criteria also give ``leaf_payload(sums, count)`` ->
-    (price, revenue_sum).
+    (price, revenue_sum) and the ``grid`` those prices are drawn from.
 
     A subclass whose last statistic is that row of ones sets ``count_row``.
     The sweep then gathers and cumulates only the ``self.gathered`` rows
@@ -285,9 +285,9 @@ def split_node(ws: SweepWorkspace, rows, orders, depth: int,
     return cand, (left, left_orders), (right, right_orders)
 
 
-def grow_tree(features, crit, config: FitConfig, feature_names,
-              grid_prices) -> PolicyTree:
-    """Greedy top-down growth shared by SPT and the baseline trees."""
+def grow_tree(features, crit, config: FitConfig, feature_names) -> PolicyTree:
+    """Greedy top-down growth shared by SPT and the baseline trees; the tree
+    carries its criterion's grid, whose prices its leaves take."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     n, d = features.shape
     names = tuple(feature_names) if feature_names is not None \
@@ -306,8 +306,7 @@ def grow_tree(features, crit, config: FitConfig, feature_names,
 
     rows = np.arange(n)
     nodes = grow_preorder((rows, presort(features, rows), 0), visit)
-    return PolicyTree(nodes, 0, names, np.asarray(grid_prices, dtype=np.float64),
-                      check_structure(nodes, 0))
+    return PolicyTree(nodes, 0, names, crit.grid.prices, check_structure(nodes, 0))
 
 
 def leaf_revenue(revmat: RevenueMatrix, rows) -> tuple[int, float]:
@@ -336,8 +335,7 @@ def fit_spt(features, revmat: RevenueMatrix, config: FitConfig,
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] != revmat.n:
         raise ValueError("features and revenue matrix row counts differ")
-    return grow_tree(features, _RevenueCriterion(revmat), config,
-                     feature_names, revmat.grid.prices)
+    return grow_tree(features, _RevenueCriterion(revmat), config, feature_names)
 
 
 def training_revenue(tree: PolicyTree) -> float:

@@ -1,11 +1,12 @@
-"""Teacher models estimating the sale probability f(x, p), plus the
-precomputed revenue matrix the student tree learns from."""
+"""Teacher models of the sale probability f(x, p). Students see a teacher only
+through P[i, k] = f(x_i, p_k) over a price grid (``probability_matrix``) and
+the revenue matrix r[i, k] = p_k P[i, k] (``revenue_matrix``)."""
 
 from __future__ import annotations
 
 import abc
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +30,10 @@ class GbtConfig:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.max_leaves < 2:
             raise ValueError("max_leaves must be >= 2")
+
+
+# GbtConfig's option types by name, for a plan's "gbt" and ``--teacher gbt:k=v``
+GBT_OPTION_KINDS = {f.name: type(f.default) for f in fields(GbtConfig)}
 
 
 class TeacherModel(abc.ABC):
@@ -192,14 +197,9 @@ def probability_matrix(model: TeacherModel, features: np.ndarray,
         [model.predict_proba_batch(X, float(p)) for p in grid.prices])
 
 
-def revenue_matrix(model: TeacherModel, features: np.ndarray,
-                   grid: PriceGrid, probs=None) -> RevenueMatrix:
-    """Evaluate r[i, k] = p_k * f(x_i, p_k) over the whole grid.
-
-    ``probs`` may pass ``probability_matrix(model, features, grid)`` when the
-    caller already has it; the model is then not queried again."""
-    if probs is None:
-        probs = probability_matrix(model, features, grid)
+def revenue_matrix(probs: np.ndarray, grid: PriceGrid) -> RevenueMatrix:
+    """r[i, k] = p_k * P[i, k] from the teacher's probabilities
+    ``probs = probability_matrix(model, features, grid)``."""
     return RevenueMatrix(grid.prices * probs, grid)
 
 
@@ -263,7 +263,7 @@ class TeacherGridPolicy:
         self.grid = grid
 
     def prescribe(self, X: np.ndarray) -> np.ndarray:
-        rm = revenue_matrix(self.model, X, self.grid)
+        rm = revenue_matrix(probability_matrix(self.model, X, self.grid), self.grid)
         return self.grid.prices[np.argmax(rm.values, axis=1)]
 
     def predict_price(self, x) -> float:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import conftest
-from sptlab.baselines import (assign_treatments, fit_ct_one_vs_all,
-                              fit_naive_distill, fit_pt, naive_training_mse)
+from sptlab.baselines import (fit_ct_one_vs_all, fit_naive_distill, fit_pt,
+                              naive_training_mse)
 from sptlab.dataset import PriceGrid, percentile_grid
 from sptlab.evaluation import expected_revenue, verify_regret_bound
 from sptlab.experiments import load_plan, run_experiment
@@ -39,10 +39,10 @@ def spec4_runs():
         spec = make_spec(4, seed)
         data = generate(spec, 5000, seed)
         grid = percentile_grid(data.prices)
-        teacher = fit_gbt(data)
+        probs = probability_matrix(fit_gbt(data), data.features, grid)
         runs[seed] = {
-            "spec": spec, "data": data, "grid": grid, "teacher": teacher,
-            "revmat": revenue_matrix(teacher, data.features, grid),
+            "spec": spec, "data": data, "grid": grid, "probs": probs,
+            "revmat": revenue_matrix(probs, grid),
             "test": generate(spec, 5000, derive_seed(seed, 1)),
             "truth": oracle_teacher(spec),
         }
@@ -113,26 +113,24 @@ def test_criterion_3_table1_ordering(spec4_runs):
             if spec_id == 4:
                 r = spec4_runs[seed]
                 spec, data, grid = r["spec"], r["data"], r["grid"]
-                teacher, revmat = r["teacher"], r["revmat"]
+                revmat = r["revmat"]
                 test, truth = r["test"], r["truth"]
             else:
                 spec = make_spec(spec_id, seed)
                 data = generate(spec, 5000, seed)
                 grid = percentile_grid(data.prices)
-                teacher = fit_gbt(data)
-                revmat = revenue_matrix(teacher, data.features, grid)
+                revmat = revenue_matrix(
+                    probability_matrix(fit_gbt(data), data.features, grid), grid)
                 test = generate(spec, 5000, derive_seed(seed, 1))
                 truth = oracle_teacher(spec)
-            assign = assign_treatments(data.prices, grid)
             for depth in (1, 2, 3, 4, 5):
                 cfg = FitConfig(max_depth=depth)
                 acc["spt"].append(expected_revenue(
                     fit_spt(data.features, revmat, cfg), test.features, truth))
                 acc["pt"].append(expected_revenue(
-                    fit_pt(data, grid, assign, cfg), test.features, truth))
+                    fit_pt(data, grid, cfg), test.features, truth))
                 acc["ct"].append(expected_revenue(
-                    fit_ct_one_vs_all(data, grid, assign, cfg,
-                                      derive_seed(seed, 2)),
+                    fit_ct_one_vs_all(data, grid, cfg, derive_seed(seed, 2)),
                     test.features, truth))
         means[spec_id] = {k: float(np.mean(v)) for k, v in acc.items()}
     elapsed = time.time() - t0
@@ -156,8 +154,8 @@ def test_criterion_4_naive_gap(spec4_runs):
         revs = []
         for seed in SEEDS:
             r = spec4_runs[seed]
-            tree = fit_naive_distill(r["teacher"], r["data"].features,
-                                     r["grid"], FitConfig(max_depth=depth))
+            tree = fit_naive_distill(r["data"].features, r["probs"], r["grid"],
+                                     FitConfig(max_depth=depth))
             revs.append(expected_revenue(tree, r["test"].features, r["truth"]))
         naive_by_depth[depth] = float(np.mean(revs))
     worst = max(naive_by_depth.values())
@@ -250,16 +248,15 @@ def test_criterion_7_monotonicity_suite():
         spec = make_spec(spec_id, 0)
         data = generate(spec, 2000, 0)
         grid = percentile_grid(data.prices)
-        teacher = fit_gbt(data)
-        revmat = revenue_matrix(teacher, data.features, grid)
+        targets = probability_matrix(fit_gbt(data), data.features, grid)
+        revmat = revenue_matrix(targets, grid)
         revs = [training_revenue(fit_spt(data.features, revmat,
                                          FitConfig(max_depth=k)))
                 for k in range(6)]
         if not all(b >= a - 1e-9 for a, b in zip(revs, revs[1:])):
             bad.append((spec_id, "spt", [round(v, 3) for v in revs]))
-        targets = probability_matrix(teacher, data.features, grid)
         mses = [naive_training_mse(
-            fit_naive_distill(teacher, data.features, grid,
+            fit_naive_distill(data.features, targets, grid,
                               FitConfig(max_depth=k)),
             data.features, targets) for k in range(6)]
         if not all(b <= a + 1e-12 for a, b in zip(mses, mses[1:])):

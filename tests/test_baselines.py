@@ -9,7 +9,7 @@ from sptlab.baselines import (OneVsAllPolicy, assign_treatments,
                               historical_policy_revenue, naive_training_mse,
                               one_vs_all_from_json, sum_rows_pairwise)
 from sptlab.dataset import DataError, Dataset, PriceGrid, percentile_grid
-from sptlab.spt import FitConfig, LeafNode, export_tree
+from sptlab.spt import FitConfig, LeafNode
 from sptlab.synth import generate, make_spec
 from sptlab.teacher import (OracleTeacher, RevenueMatrix, fit_gbt, GbtConfig,
                             probability_matrix)
@@ -28,13 +28,14 @@ def dataset_from(prices, outcomes, features=None):
 def test_assignment_identity_on_grid_members():
     grid = PriceGrid(np.asarray([2.0, 3.0, 4.0]))
     a = assign_treatments([2.0, 4.0, 3.0, 2.0], grid)
-    np.testing.assert_array_equal(a.indices, [0, 2, 1, 0])
+    np.testing.assert_array_equal(a, [0, 2, 1, 0])
+    assert a.dtype == np.int64 and not a.flags.writeable
 
 
 def test_assignment_nearest_with_ties_down():
     grid = PriceGrid(np.asarray([2.0, 3.0]))
     a = assign_treatments([2.4, 2.5, 2.6, 0.0, 9.9], grid)
-    np.testing.assert_array_equal(a.indices, [0, 0, 1, 0, 1])
+    np.testing.assert_array_equal(a, [0, 0, 1, 0, 1])
 
 
 # --- personalization tree -----------------------------------------------------
@@ -42,8 +43,7 @@ def test_assignment_nearest_with_ties_down():
 def test_pt_leaf_example():
     grid = PriceGrid(np.asarray([2.0, 3.0]))
     data = dataset_from([2.0, 2.0, 3.0], [1, 0, 1])
-    assign = assign_treatments(data.prices, grid)
-    tree = fit_pt(data, grid, assign, FitConfig(max_depth=0))
+    tree = fit_pt(data, grid, FitConfig(max_depth=0))
     leaf = tree.nodes[tree.root]
     assert leaf.price == 3.0
     assert leaf.revenue_sum / leaf.n_train == pytest.approx(3.0)  # impurity value
@@ -52,16 +52,14 @@ def test_pt_leaf_example():
 def test_pt_all_zero_outcomes_lowest_price():
     grid = PriceGrid(np.asarray([2.0, 3.0]))
     data = dataset_from([2.0, 3.0, 3.0], [0, 0, 0])
-    assign = assign_treatments(data.prices, grid)
-    tree = fit_pt(data, grid, assign, FitConfig(max_depth=0))
+    tree = fit_pt(data, grid, FitConfig(max_depth=0))
     assert tree.nodes[tree.root].price == 2.0
 
 
 def test_pt_singleton():
     grid = PriceGrid(np.asarray([5.0]))
     data = dataset_from([5.0], [1])
-    assign = assign_treatments(data.prices, grid)
-    tree = fit_pt(data, grid, assign, FitConfig(max_depth=0))
+    tree = fit_pt(data, grid, FitConfig(max_depth=0))
     leaf = tree.nodes[tree.root]
     assert leaf.price == 5.0
     assert leaf.revenue_sum == pytest.approx(5.0)
@@ -75,14 +73,14 @@ def test_pt_prescription_always_supported():
     X = rng.normal(size=(n, 2))
     y = (rng.uniform(size=n) < 0.5).astype(int)
     data = Dataset(X, prices, y, ("a", "b"))
-    assign = assign_treatments(prices, grid)
-    tree = fit_pt(data, grid, assign, FitConfig(max_depth=3))
+    treatments = assign_treatments(prices, grid)
+    tree = fit_pt(data, grid, FitConfig(max_depth=3))
     leaf_ids = tree.leaf_rows(X)
     for nid in np.unique(leaf_ids):
         leaf = tree.nodes[nid]
         rows = leaf_ids == nid
         t = int(np.nonzero(grid.prices == leaf.price)[0][0])
-        assert np.sum(assign.indices[rows] == t) >= 1
+        assert np.sum(treatments[rows] == t) >= 1
 
 
 @pytest.mark.parametrize("config", [FitConfig(max_depth=4),
@@ -90,10 +88,10 @@ def test_pt_prescription_always_supported():
 def test_pt_leaf_is_best_observed_treatment_average(config):
     data = generate(make_spec(4), 600, 3)
     grid = percentile_grid(data.prices)
-    assign = assign_treatments(data.prices, grid)
+    treatments = assign_treatments(data.prices, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning escapes the fit
-        tree = fit_pt(data, grid, assign, config)
+        tree = fit_pt(data, grid, config)
     assert tree.n_leaves > 4
     leaf_of = tree.leaf_rows(data.features)
     revenue = data.prices * data.outcomes
@@ -104,7 +102,7 @@ def test_pt_leaf_is_best_observed_treatment_average(config):
         assert node.n_train == rows.sum()
         avgs = np.full(grid.m, -np.inf)
         for t in range(grid.m):
-            treated = rows & (assign.indices == t)
+            treated = rows & (treatments == t)
             if treated.any():
                 avgs[t] = revenue[treated].sum() / treated.sum()
         best = avgs.max()
@@ -121,8 +119,7 @@ def test_pt_splits_separate_segments():
     prices = grid.prices[rng.integers(0, 2, 80)]
     y = np.where(X[:, 0] <= 0, (prices == 2.0), (prices == 3.0)).astype(int)
     data = Dataset(X, prices, y, ("x0",))
-    assign = assign_treatments(prices, grid)
-    tree = fit_pt(data, grid, assign, FitConfig(max_depth=1))
+    tree = fit_pt(data, grid, FitConfig(max_depth=1))
     assert tree.predict_price([0.0]) == 2.0
     assert tree.predict_price([1.0]) == 3.0
 
@@ -136,8 +133,7 @@ def test_ct_null_effect_tie_breaks_to_lowest():
     n = 200
     prices = grid.prices[rng.integers(0, 2, n)]
     data = Dataset(rng.normal(size=(n, 2)), prices, np.zeros(n, int), ("a", "b"))
-    assign = assign_treatments(prices, grid)
-    policy = fit_ct_one_vs_all(data, grid, assign, FitConfig(max_depth=2), seed=0)
+    policy = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=2), seed=0)
     np.testing.assert_array_equal(policy.prescribe(rng.normal(size=(20, 2))),
                                   np.full(20, 2.0))
 
@@ -153,8 +149,7 @@ def test_ct_two_segment_fixture():
     in_a = X[:, 0] <= 0
     y = np.where(in_a, prices == 2.0, True).astype(int)
     data = Dataset(X, prices, y, ("seg", "noise"))
-    assign = assign_treatments(prices, grid)
-    policy = fit_ct_one_vs_all(data, grid, assign, FitConfig(max_depth=2), seed=1)
+    policy = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=2), seed=1)
     probe_a = np.asarray([[-1.0, 0.0]])
     probe_b = np.asarray([[1.0, 0.0]])
     assert policy.predict_price(probe_a) == 2.0
@@ -168,8 +163,7 @@ def test_ct_depth0_constant():
     prices = grid.prices[rng.integers(0, 2, n)]
     y = (rng.uniform(size=n) < 0.5).astype(int)
     data = Dataset(rng.normal(size=(n, 2)), prices, y, ("a", "b"))
-    assign = assign_treatments(prices, grid)
-    policy = fit_ct_one_vs_all(data, grid, assign, FitConfig(max_depth=0), seed=2)
+    policy = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=0), seed=2)
     out = policy.prescribe(rng.normal(size=(50, 2)))
     assert np.unique(out).size == 1
 
@@ -177,9 +171,8 @@ def test_ct_depth0_constant():
 def test_ct_requires_both_groups():
     grid = PriceGrid(np.asarray([1.0, 2.0]))
     data = dataset_from([1.0, 1.0, 1.0, 1.0], [1, 0, 1, 0])
-    assign = assign_treatments(data.prices, grid)
     with pytest.raises(DataError):
-        fit_ct_one_vs_all(data, grid, assign, FitConfig(max_depth=1), seed=0)
+        fit_ct_one_vs_all(data, grid, FitConfig(max_depth=1), seed=0)
 
 
 def test_ct_export_round_trip():
@@ -189,8 +182,7 @@ def test_ct_export_round_trip():
     prices = grid.prices[rng.integers(0, 2, n)]
     y = (rng.uniform(size=n) < (prices == 1.0) * 0.8).astype(int)
     data = Dataset(rng.normal(size=(n, 2)), prices, y, ("a", "b"))
-    assign = assign_treatments(prices, grid)
-    policy = fit_ct_one_vs_all(data, grid, assign, FitConfig(max_depth=2), seed=3)
+    policy = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=2), seed=3)
     X = rng.normal(size=(30, 2))
     back = one_vs_all_from_json(export_one_vs_all(policy))
     np.testing.assert_array_equal(back.prescribe(X), policy.prescribe(X))
@@ -215,7 +207,8 @@ def test_naive_constant_teacher_single_leaf():
     t = OracleTeacher(lambda X, p: np.full(np.atleast_2d(X).shape[0], 0.5), 2)
     grid = PriceGrid(np.asarray([2.0, 3.0]))
     X = np.random.default_rng(0).normal(size=(50, 2))
-    tree = fit_naive_distill(t, X, grid, FitConfig(max_depth=4))
+    tree = fit_naive_distill(X, probability_matrix(t, X, grid), grid,
+                             FitConfig(max_depth=4))
     assert tree.n_leaves == 1
     assert tree.predict_price([0.0, 0.0]) == 3.0  # grid-wide argmax of p * 0.5
 
@@ -228,25 +221,12 @@ def test_naive_leaf_prices_in_grid_and_mse_monotone():
     targets = probability_matrix(teacher, data.features, grid)
     mses = []
     for depth in range(5):
-        tree = fit_naive_distill(teacher, data.features, grid,
+        tree = fit_naive_distill(data.features, targets, grid,
                                  FitConfig(max_depth=depth))
         prices = {n.price for n in tree.nodes if isinstance(n, LeafNode)}
         assert prices <= set(grid.prices.tolist())
         mses.append(naive_training_mse(tree, data.features, targets))
     assert all(b <= a + 1e-12 for a, b in zip(mses, mses[1:]))
-
-
-def test_naive_precomputed_targets_give_identical_tree():
-    data = generate(make_spec(4), 600, 2)
-    grid = PriceGrid(np.percentile(data.prices, [20, 50, 80]))
-    teacher = fit_gbt(data, GbtConfig(rounds=6))
-    config = FitConfig(max_depth=None, minsplit=30, min_leaf=10)
-    queried = fit_naive_distill(teacher, data.features, grid, config,
-                                data.feature_names)
-    targets = probability_matrix(teacher, data.features, grid)
-    given = fit_naive_distill(teacher, data.features, grid, config,
-                              data.feature_names, targets=targets)
-    assert export_tree(given, "json") == export_tree(queried, "json")
 
 
 @pytest.mark.parametrize("n_rows", [1, 3, 257])
@@ -271,7 +251,8 @@ def test_naive_recovers_segment_prices():
     t = OracleTeacher(prob, 1)
     grid = PriceGrid(np.asarray([10.0, 12.0]))
     X = np.asarray([[0.0]] * 10 + [[1.0]] * 10)
-    tree = fit_naive_distill(t, X, grid, FitConfig(max_depth=1))
+    tree = fit_naive_distill(X, probability_matrix(t, X, grid), grid,
+                             FitConfig(max_depth=1))
     assert tree.predict_price([0.0]) == 10.0
     assert tree.predict_price([1.0]) == 12.0
 

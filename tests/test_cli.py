@@ -8,8 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sptlab.baselines import (assign_treatments, export_one_vs_all,
-                              fit_ct_one_vs_all)
+from sptlab.baselines import export_one_vs_all, fit_ct_one_vs_all
 from sptlab.cli import build_parser, main
 from sptlab.dataset import Dataset, PriceGrid, load_csv, percentile_grid
 from sptlab.experiments import FITTED_POLICIES, TEACHER_POLICIES, fit_policy
@@ -354,9 +353,8 @@ def _valid_policy_docs():
     prices = grid.prices[rng.integers(0, 2, n)]
     y = ((X[:, 0] > 0) ^ (prices > 2)).astype(int)
     data = Dataset(X, prices, y, ("a", "b"))
-    tree = fit_policy("pt", data, grid, FitConfig(max_depth=2), 0, None, None)
-    ct = fit_ct_one_vs_all(data, grid, assign_treatments(prices, grid),
-                           FitConfig(max_depth=1), 0)
+    tree = fit_policy("pt", data, grid, FitConfig(max_depth=2), 0)
+    ct = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=1), 0)
     return (json.loads(export_tree(tree, "json")),
             json.loads(export_one_vs_all(ct)))
 
@@ -490,6 +488,22 @@ def test_fit_sales_policy_neither_fits_nor_reads_the_teacher(tmp_path, monkeypat
     assert policies[0] == policies[1] == policies[2]
 
 
+def test_evaluate_on_data_with_other_features_is_located_error(tmp_path, capsys):
+    fitted, other = tmp_path / "d4.csv", tmp_path / "d2.csv"
+    assert run_cli("synth", "--spec", "4", "--n", "300", "--out", str(fitted)) == 0
+    assert run_cli("synth", "--spec", "2", "--n", "100", "--out", str(other)) == 0
+    tree = tmp_path / "spt.json"
+    assert run_cli("fit", "--data", str(fitted), "--method", "spt", "--depth", "2",
+                   "--teacher", "oracle:4", "--out", str(tree)) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", "--tree", str(tree), "--data", str(other),
+                   "--truth", "oracle:2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tree}: the policy splits on features x0,x1")
+    assert "Traceback" not in captured.err
+
+
 def test_evaluate_bad_truth_is_located_error(tmp_path, capsys):
     data, tree, _ = write_toy_files(tmp_path)
     assert run_cli("evaluate", "--tree", str(tree), "--data", str(data),
@@ -599,8 +613,7 @@ def test_fit_writes_the_policy_the_sweep_fits(tmp_path, method):
     teacher = oracle_teacher(make_spec(4, 3))
     probs = (probability_matrix(teacher, learn.features, grid)
              if method in TEACHER_POLICIES else None)
-    policy = fit_policy(method, learn, grid, FitConfig.for_knob(2, None), 3,
-                        teacher, probs)
+    policy = fit_policy(method, learn, grid, FitConfig.for_knob(2, None), 3, probs)
     text = (export_one_vs_all(policy) if method == "ct"
             else export_tree(policy, "json"))
     assert got == json.loads(text)

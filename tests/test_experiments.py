@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from sptlab import experiments, synth
-from sptlab.dataset import percentile_grid
+from sptlab.dataset import PriceGrid, percentile_grid
 from sptlab.experiments import (ExperimentPlan, PlanError,
                                 aggregate, load_plan, plan_from_dict,
-                                read_results_csv, run_cell, run_experiment,
-                                write_results_csv)
+                                prepare_cell_inputs, read_results_csv, run_cell,
+                                run_experiment, write_results_csv)
 from sptlab.spt import FitConfig
-from sptlab.teacher import GbtConfig
+from sptlab.teacher import GbtConfig, probability_matrix
 
 FAST_GBT = {"rounds": 5, "min_child_samples": 5}
 
@@ -133,7 +133,8 @@ def rows_cell_by_cell(plan):
         for n in plan.n_train:
             for ms in plan.minsplits:
                 for seed in plan.seeds:
-                    rows += run_cell(plan, spec, n, seed, None, ms)
+                    inputs = prepare_cell_inputs(plan, spec, n, seed)
+                    rows += run_cell(plan, spec, n, seed, None, ms, inputs=inputs)
     rows.sort(key=lambda r: (r["spec"], r["policy"], r["depth"], r["minsplit"],
                              r["n_train"], r["seed"]))
     return rows
@@ -231,4 +232,28 @@ def test_fit_policy_rejects_a_name_it_does_not_fit():
     learn = synth.generate(synth.make_spec(1, 0), 100, 0)
     with pytest.raises(ValueError, match="unknown fitted policy 'teacher'"):
         experiments.fit_policy("teacher", learn, percentile_grid(learn.prices),
+                               FitConfig.for_knob(1, None), 0)
+
+
+@pytest.mark.parametrize("name", experiments.FITTED_POLICIES)
+def test_fit_policy_carries_the_grid_it_is_given(name):
+    spec = synth.make_spec(4, 0)
+    learn = synth.generate(spec, 400, 0)
+    grid = PriceGrid(np.asarray([3.0, 4.5, 5.5, 7.0]))  # not the percentile grid
+    assert not np.array_equal(grid.prices, percentile_grid(learn.prices).prices)
+    probs = probability_matrix(synth.oracle_teacher(spec), learn.features, grid)
+    policy = experiments.fit_policy(name, learn, grid, FitConfig.for_knob(3, None),
+                                    0, probs)
+    if name == "ct":
+        assert policy.grid is grid and len(policy.trees) == grid.m
+    else:
+        assert np.array_equal(policy.grid_prices, grid.prices)
+    assert set(policy.prescribe(learn.features)) <= set(grid.prices)
+
+
+@pytest.mark.parametrize("name", experiments.TEACHER_POLICIES)
+def test_fit_policy_needs_probs_for_a_teacher_policy(name):
+    learn = synth.generate(synth.make_spec(1, 0), 100, 0)
+    with pytest.raises(ValueError, match=f"policy {name!r} learns from the teacher"):
+        experiments.fit_policy(name, learn, percentile_grid(learn.prices),
                                FitConfig.for_knob(1, None), 0)

@@ -181,7 +181,7 @@ def _criterion(kind, X, rng):
     if kind == "pt":
         data = Dataset(X, grid.prices[t], rng.integers(0, 2, n),
                        tuple(f"x{j}" for j in range(X.shape[1])))
-        return _PersonalizationCriterion(data, assign_treatments(data.prices, grid))
+        return _PersonalizationCriterion(data, grid)
     if kind == "naive":
         return _MultiOutputMseCriterion(rng.random((n, 3)), grid)
     return _EffectVarianceCriterion(rng.integers(0, 2, n).astype(float),
@@ -244,14 +244,14 @@ def _ref_grow_tree(features, crit, config, grid_prices):
     return PolicyTree(nodes, 0, names, np.asarray(grid_prices), deepest[0])
 
 
-def _ref_one_vs_all(data, grid, assign, config, seed):
+def _ref_one_vs_all(data, grid, treatments, config, seed):
     perm = CounterRng(seed).permutation(data.n)
     cut = (data.n + 1) // 2
     struct_rows, est_rows = np.sort(perm[:cut]), np.sort(perm[cut:])
     X, y = data.features, data.outcomes.astype(np.float64)
     trees = []
     for t in range(grid.m):
-        w = (assign.indices == t).astype(np.float64)
+        w = (treatments == t).astype(np.float64)
         crit = _EffectVarianceCriterion(y, w)
         nodes = []
 
@@ -298,25 +298,24 @@ CONFIGS = [FitConfig(max_depth=1), FitConfig(max_depth=3),
 def test_growers_match_per_node_argsort_reference(spec_id, n, tie_levels):
     data, grid, teacher = _world(spec_id, n, tie_levels)
     X = data.features
-    revmat = revenue_matrix(teacher, X, grid)
     targets = probability_matrix(teacher, X, grid)
-    assign = assign_treatments(data.prices, grid)
+    revmat = revenue_matrix(targets, grid)
+    treatments = assign_treatments(data.prices, grid)
     for config in CONFIGS:
         got = export_tree(fit_spt(X, revmat, config))
         want = export_tree(_ref_grow_tree(X, _RevenueCriterion(revmat),
                                           config, grid.prices))
         assert got == want, ("spt", config)
-        got = export_tree(fit_pt(data, grid, assign, config))
+        got = export_tree(fit_pt(data, grid, config))
         want = export_tree(_ref_grow_tree(
-            X, _PersonalizationCriterion(data, assign), config, grid.prices))
+            X, _PersonalizationCriterion(data, grid), config, grid.prices))
         assert got == want, ("pt", config)
-        got = export_tree(fit_naive_distill(teacher, X, grid, config,
-                                            targets=targets))
+        got = export_tree(fit_naive_distill(X, targets, grid, config))
         want = export_tree(_ref_grow_tree(
             X, _MultiOutputMseCriterion(targets, grid), config, grid.prices))
         assert got == want, ("naive", config)
         if config.max_depth is not None:
-            got = export_one_vs_all(fit_ct_one_vs_all(data, grid, assign, config, 5))
-            want = export_one_vs_all(_ref_one_vs_all(data, grid, assign, config, 5))
+            got = export_one_vs_all(fit_ct_one_vs_all(data, grid, config, 5))
+            want = export_one_vs_all(_ref_one_vs_all(data, grid, treatments, config, 5))
             assert got == want, ("ct", config)
             assert json.loads(got)["trees"]  # the comparison saw real trees

@@ -373,13 +373,15 @@ def test_table_query_reads_row_i_at_the_grid_column(data):
 
 def test_revenue_matrix_constant_half():
     t = OracleTeacher(lambda X, p: np.full(np.atleast_2d(X).shape[0], 0.5), 1)
-    rm = revenue_matrix(t, np.zeros((3, 1)), PriceGrid(np.asarray([4.0])))
+    grid = PriceGrid(np.asarray([4.0]))
+    rm = revenue_matrix(probability_matrix(t, np.zeros((3, 1)), grid), grid)
     np.testing.assert_array_equal(rm.values, np.full((3, 1), 2.0))
 
 
 def test_revenue_matrix_zero_teacher():
     t = OracleTeacher(lambda X, p: np.zeros(np.atleast_2d(X).shape[0]), 1)
-    rm = revenue_matrix(t, np.zeros((2, 1)), PriceGrid(np.asarray([1.0, 2.0])))
+    grid = PriceGrid(np.asarray([1.0, 2.0]))
+    rm = revenue_matrix(probability_matrix(t, np.zeros((2, 1)), grid), grid)
     assert rm.values.max() == 0.0
 
 
@@ -391,8 +393,8 @@ def test_revenue_matrix_oracle_dataset1():
     assert expected[1] == 2.5
     assert expected[2] == pytest.approx(0.9519, abs=5e-5)
     t = oracle_teacher(make_spec(1))
-    rm = revenue_matrix(t, np.asarray([[5.0, 0.0]]),
-                        PriceGrid(np.asarray([4.0, 5.0, 6.0])))
+    grid = PriceGrid(np.asarray([4.0, 5.0, 6.0]))
+    rm = revenue_matrix(probability_matrix(t, np.asarray([[5.0, 0.0]]), grid), grid)
     np.testing.assert_allclose(rm.values[0], expected, atol=1e-12)
 
 
@@ -401,8 +403,8 @@ def test_revenue_matrix_recomputation_bit_identical():
     data = generate(spec, 500, 3)
     grid = PriceGrid(np.percentile(data.prices, [20, 50, 80]))
     model = fit_gbt(data, GbtConfig(rounds=10))
-    a = revenue_matrix(model, data.features, grid)
-    b = revenue_matrix(model, data.features, grid)
+    a = revenue_matrix(probability_matrix(model, data.features, grid), grid)
+    b = revenue_matrix(probability_matrix(model, data.features, grid), grid)
     assert np.array_equal(a.values, b.values)
 
 
@@ -419,19 +421,16 @@ def test_probability_matrix_stacked_gbt_pass_matches_per_price_columns(
                             for p in grid.prices])
     assert probs.flags.c_contiguous
     assert np.array_equal(probs, cols)
-    rm = revenue_matrix(model, data.features, grid, probs)
+    rm = revenue_matrix(probs, grid)
     assert np.array_equal(rm.values, grid.prices * cols)
 
 
-def test_revenue_matrix_reuses_given_probabilities():
-    class _NoQueries(OracleTeacher):
-        def predict_proba_batch(self, X, p):
-            raise AssertionError("teacher queried despite given probabilities")
-
+def test_revenue_matrix_scales_probabilities_by_price():
     grid = PriceGrid(np.asarray([1.0, 2.0]))
     probs = np.asarray([[0.5, 0.25], [1.0, 0.0]])
-    rm = revenue_matrix(_NoQueries(None, 1), np.zeros((2, 1)), grid, probs)
+    rm = revenue_matrix(probs, grid)
     assert np.array_equal(rm.values, np.asarray([[0.5, 0.5], [1.0, 0.0]]))
+    assert rm.grid is grid
 
 
 def test_revenue_matrix_bounds_validation():

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sptlab import boosting, spt
-from sptlab.baselines import (EffectLeaf, EffectTree, assign_treatments,
-                              export_one_vs_all, fit_ct_one_vs_all,
-                              one_vs_all_from_json)
+from sptlab.baselines import (EffectLeaf, EffectTree, export_one_vs_all,
+                              fit_ct_one_vs_all, one_vs_all_from_json)
 from sptlab.dataset import DataError, percentile_grid
 from sptlab.spt import (FitConfig, LeafNode, PolicyTree, export_tree, fit_spt,
                         tree_from_json)
 from sptlab.synth import generate, make_spec, oracle_teacher
-from sptlab.teacher import revenue_matrix
+from sptlab.teacher import probability_matrix, revenue_matrix
 from sptlab.tree import SplitNode, apply, check_structure
 
 
@@ -111,8 +110,9 @@ def _world():
                                               min_leaf=20)])
 def test_tree_json_is_a_fixed_point(config):
     data, grid, teacher = _world()
-    tree = fit_spt(data.features, revenue_matrix(teacher, data.features, grid),
-                   config, data.feature_names)
+    probs = probability_matrix(teacher, data.features, grid)
+    tree = fit_spt(data.features, revenue_matrix(probs, grid), config,
+                   data.feature_names)
     text = export_tree(tree)
     back = tree_from_json(text)
     assert export_tree(back) == text
@@ -122,8 +122,7 @@ def test_tree_json_is_a_fixed_point(config):
 
 def test_one_vs_all_json_is_a_fixed_point():
     data, grid, _ = _world()
-    policy = fit_ct_one_vs_all(data, grid, assign_treatments(data.prices, grid),
-                               FitConfig(max_depth=3), seed=1)
+    policy = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=3), seed=1)
     text = export_one_vs_all(policy)
     back = one_vs_all_from_json(text)
     assert export_one_vs_all(back) == text
@@ -135,8 +134,7 @@ def test_one_vs_all_json_is_a_fixed_point():
 
 def test_leaf_records_carry_the_leaf_fields_in_order():
     data, grid, _ = _world()
-    policy = fit_ct_one_vs_all(data, grid, assign_treatments(data.prices, grid),
-                               FitConfig(max_depth=1), seed=1)
+    policy = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=1), seed=1)
     leaf = next(nd for nd in json.loads(export_one_vs_all(policy))["trees"][0]["nodes"]
                 if nd["kind"] == "leaf")
     assert list(leaf) == ["id", "kind", "effect", "treated_mean", "n_est"]
@@ -157,8 +155,8 @@ def test_children_that_cannot_split_get_no_orders(monkeypatch, config):
         return got
 
     monkeypatch.setattr(spt, "split_orders", spy)
-    tree = fit_spt(data.features, revenue_matrix(teacher, data.features, grid),
-                   config)
+    probs = probability_matrix(teacher, data.features, grid)
+    tree = fit_spt(data.features, revenue_matrix(probs, grid), config)
     assert len(calls) == sum(isinstance(nd, SplitNode) for nd in tree.nodes)
     skipped = 0
     for keep, n_left, n_right, got in calls:
