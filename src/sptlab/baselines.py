@@ -301,14 +301,16 @@ def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, config: FitConfig,
     struct_rows, est_rows = half_rows(data.n, seed)
     X = data.features
     y = data.outcomes.astype(np.float64)
-    struct_orders = presort(X, struct_rows)  # these and ws serve all m trees
     ws = SweepWorkspace(X, struct_rows.size, _EffectVarianceCriterion.WIDTH)
+    struct_orders = presort(ws.columns, struct_rows)  # these and ws serve all m trees
+    orders = np.empty_like(struct_orders)  # each tree partitions its own copy
     trees = []
     for t in range(grid.m):
         w = (treatments == t).astype(np.float64)
         if w.sum() < 1 or (data.n - w.sum()) < 1:
             raise DataError(f"treatment {t} has an empty treated or control group")
-        trees.append(_fit_effect_tree(ws, X, y, w, struct_rows, struct_orders,
+        np.copyto(orders, struct_orders)
+        trees.append(_fit_effect_tree(ws, X, y, w, struct_rows, orders,
                                       est_rows, config))
     return OneVsAllPolicy(trees, grid)
 

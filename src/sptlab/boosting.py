@@ -5,9 +5,11 @@ g_i = sigmoid(F_i) - y_i and hessians h_i = sigmoid(F_i)(1 - sigmoid(F_i))
 are fitted by a tree grown leaf-wise (always splitting the leaf with the
 largest gain) up to ``max_leaves`` leaves, with exact split search over all
 observed feature values. A fit sorts each column once and every node reads
-its rows in that order (``sptlab.tree``); a node scores all its features
-at once, in cache-sized chunks of features. Leaf weight is -G/(H + l2);
-split gain is G_L^2/(H_L + l2) + G_R^2/(H_R + l2) - G^2/(H + l2).
+its rows in that order (``sptlab.tree``): each round copies the sorted
+orders into one buffer that its splits partition in place. A node scores
+all its features at once, in cache-sized chunks of features. Leaf weight
+is -G/(H + l2); split gain is G_L^2/(H_L + l2) + G_R^2/(H_R + l2) -
+G^2/(H + l2).
 
 Predictions are sigmoid(base_score + learning_rate * sum_t tree_t(x)), so
 the ensemble is prefix-stable: adding rounds never changes earlier trees.
@@ -57,7 +59,7 @@ _SPLIT_CELLS = 1 << 14
 def _best_split(X, g, h, orders, G, H, min_child, l2):
     """Best (gain, feature, threshold) for one node, or None.
 
-    ``X`` is C-contiguous, ``orders`` the node's ``presort(X, rows)`` and
+    ``X`` is C-contiguous, ``orders`` the node's ``presort(X.T, rows)`` and
     G, H the node's gradient and hessian sums. The features of a chunk are
     scored at once: row j of a (features, rows) block is gathered through
     ``orders[j]`` and cumulated left to right, so each gain adds the same
@@ -90,8 +92,9 @@ def _best_split(X, g, h, orders, G, H, min_child, l2):
 def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
     """One leaf-wise tree and its training partition: (tree, {leaf id: rows}).
 
-    ``root_orders`` is ``presort(X, all rows)``, shared by every round. Node
-    ids are given in creation order, the two children of a split together."""
+    ``root_orders`` is ``presort(X.T, all rows)``, which the splits
+    partition in place. Node ids are given in creation order, the two
+    children of a split together."""
     nodes, rows_of, orders_of = [], {}, {}
 
     def new_node(rows, orders):
@@ -155,9 +158,11 @@ def fit_boosted_trees(X, y, rounds=50, learning_rate=0.1, max_leaves=31,
     base = float(np.log(p0 / (1.0 - p0)))
     model = BoostedTrees(base, learning_rate, X.shape[1])
     margin = np.full(X.shape[0], base)
-    orders = presort(X, np.arange(X.shape[0]))
+    root_orders = presort(X.T, np.arange(X.shape[0]))
+    orders = np.empty_like(root_orders)  # each tree partitions its own copy
     for _ in range(rounds):
         p = expit(margin)
+        np.copyto(orders, root_orders)
         tree, leaf_rows = _grow_tree(X, p - y, p * (1.0 - p), orders,
                                      max_leaves, min_child_samples, l2)
         for nid, rows in leaf_rows.items():  # what tree.predict(X) would add

@@ -37,11 +37,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a, dtype) -> np.ndarray:
+    """``a`` as a read-only C-order ``dtype`` array that owns its memory:
+    ``a`` itself if it is one already (no one writes it), else a copy. A
+    caller's writeable array therefore stays writeable, and no view keeps a
+    larger array, such as a CSV parse table, alive."""
+    a = np.asarray(a)
+    if not (a.dtype == dtype and a.flags.c_contiguous and a.flags.owndata
+            and not a.flags.writeable):
+        a = np.array(a, dtype=dtype, order="C")
+    return _freeze(a)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Observational pricing data: features x_i, observed price p_i, sold flag y_i.
 
-    Immutable after construction and safe to share across workers.
+    Immutable after construction and safe to share across workers: a
+    Dataset owns its arrays. It copies each input, except a read-only array
+    of the right type that owns its memory, which it keeps as it is.
     """
 
     features: np.ndarray
@@ -50,10 +64,10 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        feats = _owned(self.features, np.float64)
         if feats.ndim != 2:
             raise DataError("features must be a 2-D matrix")
-        prices = np.asarray(self.prices, dtype=np.float64)
+        prices = _owned(self.prices, np.float64)
         outcomes = np.asarray(self.outcomes)
         n = feats.shape[0]
         if n < 1:
@@ -67,8 +81,8 @@ class Dataset:
         out_f = outcomes.astype(np.float64)
         if not np.all((out_f == 0.0) | (out_f == 1.0)):
             raise DataError("outcomes must be exactly 0 or 1")
-        object.__setattr__(self, "features", _freeze(feats))
-        object.__setattr__(self, "prices", _freeze(prices))
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "outcomes", _freeze(out_f.astype(np.int64)))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
 
@@ -81,7 +95,8 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        return Dataset(self.features[rows], self.prices[rows],
+        # the gathers are new arrays, so the subset keeps them
+        return Dataset(_freeze(self.features[rows]), _freeze(self.prices[rows]),
                        self.outcomes[rows], self.feature_names)
 
 
@@ -142,6 +157,10 @@ def load_csv(path) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = [h for h, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise DataError(f"{path}: column {repeated[0]!r} appears more than "
+                            f"once in the header")
         if "price" not in header:
             raise DataError(f"{path}: missing required column 'price'")
         if "sold" not in header:

@@ -12,13 +12,16 @@ to row order.
 
 The same engine drives the baseline trees (different node criteria plugged
 into ``grow_tree``). Each fit sorts every feature once and hands each node
-its rows in feature order (``sptlab.tree``). Each criterion holds its
-per-row statistics column-major, one contiguous row per statistic, and each
-fit owns one ``SweepWorkspace``: a column-major copy of the features and
-(statistics x rows) blocks sized for its largest node, in which the split
-sweep of every feature at every node gathers and cumulates its statistics
-instead of allocating fresh arrays. It is never shared between fits, which
-may run on different threads.
+its rows in feature order (``sptlab.tree``): one order buffer per fit, which
+every split partitions in place. Each criterion holds its per-row
+statistics column-major, one contiguous row per statistic, and each fit
+owns one ``SweepWorkspace``: the fit's one column-major copy of the
+features, from which the orders are sorted too, and (statistics x rows)
+blocks sized for its largest node, in which the split sweep of every
+feature at every node gathers and cumulates its statistics instead of
+allocating fresh arrays. It is never shared between fits, which may run on
+different threads. Node sums and boundary scores are taken in blocks of
+rows, so no step holds a (rows x statistics) copy of a large node.
 """
 
 from __future__ import annotations
@@ -117,6 +120,13 @@ class PolicyTree:
         return check_structure(self.nodes, self.root)
 
 
+# Boundaries scored, and rows summed by ``StatsCriterion.node_sums``, per
+# block. Blocks of 4096 keep ``ws.left`` and ``ws.right`` at width * 4096
+# floats instead of width * n, which bounds a fit's peak memory; n=50k fits
+# run within noise of each other from 1024 to 65536 boundaries per block.
+_BLOCK_ROWS = 4096
+
+
 class StatsCriterion:
     """A node criterion over per-row statistics, held once as the contiguous
     ``(width, n)`` array ``self.cols`` (one row per statistic, so a sweep
@@ -142,8 +152,19 @@ class StatsCriterion:
         self.gathered = cols.shape[0] - self.count_row
 
     def node_sums(self, rows):
-        # stats[rows] is a C-order copy, whose sum adds the rows one by one
-        return self.stats[rows].sum(axis=0)
+        """The column sums of ``stats[rows]``, taken in blocks of
+        ``_BLOCK_ROWS`` rows. ``stats[rows]`` is a C-order copy, whose axis-0
+        sum adds the rows one by one; adding the running sums into a block's
+        first row before summing the block adds the same numbers in the same
+        order. A single statistic is one contiguous column, which numpy sums
+        pairwise, so it is summed in one block."""
+        step = _BLOCK_ROWS if self.cols.shape[0] > 1 else max(1, rows.size)
+        sums = self.stats[rows[:step]].sum(axis=0)
+        for s in range(step, rows.size, step):
+            block = self.stats[rows[s:s + step]]
+            block[0] += sums
+            sums = block.sum(axis=0)
+        return sums
 
     def node_score(self, rows):
         out = np.empty(1)
@@ -164,13 +185,6 @@ class _RevenueCriterion(StatsCriterion):
     def leaf_payload(self, sums, count):
         k = int(np.argmax(sums))  # first max = lowest price
         return float(self.grid.prices[k]), float(sums[k])
-
-
-# Boundaries scored per block. Blocks of 4096 keep ``ws.left`` and
-# ``ws.right`` at width * 4096 floats instead of width * n, which bounds a
-# fit's peak memory; n=50k fits run within noise of each other from 1024 to
-# 65536 boundaries per block.
-_BLOCK_ROWS = 4096
 
 
 class SweepWorkspace:
@@ -268,9 +282,11 @@ def best_split_generic(ws: SweepWorkspace, rows, orders, config: FitConfig,
 def split_node(ws: SweepWorkspace, rows, orders, depth: int,
                config: FitConfig, crit):
     """A grower's step at a node of ``depth`` with ``orders`` =
-    ``presort(features, rows)``: None if the node stays a leaf, else its
+    ``presort(ws.columns, rows)``: None if the node stays a leaf, else its
     best split and the (rows, orders) pairs of its left and right children.
-    A child that cannot split gets None for its orders."""
+    The children's orders are column ranges of ``orders``, which is
+    partitioned in place; a child that cannot split gets None for its
+    orders."""
     if not config.can_split(depth, rows.size):
         return None
     cand = best_split_generic(ws, rows, orders, config, crit)
@@ -305,7 +321,7 @@ def grow_tree(features, crit, config: FitConfig, feature_names) -> PolicyTree:
                 (*left, depth + 1), (*right, depth + 1))
 
     rows = np.arange(n)
-    nodes = grow_preorder((rows, presort(features, rows), 0), visit)
+    nodes = grow_preorder((rows, presort(ws.columns, rows), 0), visit)
     return PolicyTree(nodes, 0, names, crit.grid.prices, check_structure(nodes, 0))
 
 
@@ -326,7 +342,7 @@ def best_split(revmat: RevenueMatrix, features, rows,
     rows = np.asarray(rows, dtype=np.int64)
     crit = _RevenueCriterion(revmat)
     ws = SweepWorkspace(features, rows.size, crit.stats.shape[1])
-    return best_split_generic(ws, rows, presort(features, rows), config, crit)
+    return best_split_generic(ws, rows, presort(ws.columns, rows), config, crit)
 
 
 def fit_spt(features, revmat: RevenueMatrix, config: FitConfig,
@@ -356,6 +372,7 @@ def export_tree(tree: PolicyTree, format: str = "json") -> str:
             if isinstance(node, SplitNode):
                 name = tree.feature_names[node.feature] \
                     if node.feature < len(tree.feature_names) else f"x{node.feature}"
+                name = name.replace("\\", "\\\\").replace('"', '\\"')  # DOT string
                 lines.append(f'  n{i} [shape=box, label="{name} ≤ {node.threshold:g}"];')
             else:
                 per_item = node.revenue_sum / node.n_train if node.n_train else float("nan")

@@ -125,9 +125,9 @@ def generate(spec: SyntheticSpec, n: int, seed: int) -> Dataset:
     if n < 1:
         raise ValueError("n must be >= 1")
     root = CounterRng(seed)
-    X = root.substream(_STREAM_FEATURES).normals(n * spec.d).reshape(n, spec.d)
+    X = root.substream(_STREAM_FEATURES).normals((n, spec.d))
     if spec.id in (1, 5):
-        X = X + 5.0
+        X += 5.0
     z_price = root.substream(_STREAM_PRICES).normals(n)
     if spec.id == 1:
         P = 5.0 + z_price                      # N(5, 1)
@@ -144,6 +144,7 @@ def generate(spec: SyntheticSpec, n: int, seed: int) -> Dataset:
     latent = baseline_utility(spec, X) + price_sensitivity(spec, X) * P + eps
     y = (latent > 0.0).astype(np.int64)
     names = tuple(f"x{i}" for i in range(spec.d))
+    X.flags.writeable = False  # handed to the Dataset, which keeps it uncopied
     return Dataset(X, P, y, names)
 
 

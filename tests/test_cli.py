@@ -187,6 +187,28 @@ def test_export_dot_counts(tmp_path):
     assert sum(1 for ln in text.splitlines() if "[shape=" in ln) == 15
 
 
+def test_export_dot_escapes_a_quoted_csv_header(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text('"a""b",price,sold\n' + "".join(
+        f"{i},{10.0 if i < 5 else 12.0},1\n" for i in range(10)))
+    tree, dot = tmp_path / "t.json", tmp_path / "t.dot"
+    assert run_cli("fit", "--method", "pt", "--data", str(data), "--depth", "1",
+                   "--grid", "explicit:10,12", "--out", str(tree)) == 0
+    assert run_cli("export", "--tree", str(tree), "--format", "dot",
+                   "--out", str(dot)) == 0
+    assert 'label="a\\"b ≤ ' in dot.read_text()
+
+
+def test_repeated_csv_column_exits_1(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x0,price,sold,price\n1.0,2.0,5.0,1,6.0\n")
+    assert run_cli("fit", "--method", "pt", "--data", str(data),
+                   "--out", str(tmp_path / "t.json")) == 1
+    err = capsys.readouterr().err
+    assert f"{data}: column 'x0' appears more than once" in err
+    assert "Traceback" not in err
+
+
 def test_export_bad_format_is_usage_error(tmp_path):
     tree = tmp_path / "tree.json"
     tree.write_text(export_tree(single_leaf_tree(1.0), "json"))

@@ -130,6 +130,50 @@ def test_dataset_invariants():
         Dataset(np.asarray([[1.0], [2.0]]), np.asarray([1.0]), np.asarray([1]), ("a",))
 
 
+def test_dataset_copies_the_callers_arrays():
+    X = np.asarray([[1.0, 2.0], [3.0, 4.0]])
+    p = np.asarray([5.0, 6.0])
+    data = Dataset(X, p, np.asarray([1, 0]), ("a", "b"))
+    assert X.flags.writeable and p.flags.writeable  # the caller's stay writeable
+    X[0, 0], p[0] = -1.0, -1.0
+    np.testing.assert_array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(data.prices, [5.0, 6.0])
+    for a in (data.features, data.prices, data.outcomes):
+        assert a.flags.owndata and not a.flags.writeable
+
+
+def test_dataset_keeps_a_read_only_array_it_can_own():
+    X = np.asarray([[1.0], [3.0]])
+    X.flags.writeable = False
+    assert Dataset(X, np.asarray([5.0, 6.0]), np.asarray([1, 0]), ("a",)).features is X
+    view = np.asarray([[1.0, 0.0], [3.0, 0.0]])[:, :1]
+    view.flags.writeable = False  # read-only, but its base is not
+    assert Dataset(view, np.asarray([5.0, 6.0]), np.asarray([1, 0]),
+                   ("a",)).features.flags.owndata
+
+
+def test_loaded_dataset_owns_its_arrays(tmp_path):
+    """Slices of the parse table would keep the whole table alive."""
+    f = tmp_path / "d.csv"
+    f.write_text("x0,price,x1,sold\n1.0,5.0,2.0,1\n2.0,4.0,3.0,0\n")
+    data = load_csv(f)
+    for a in (data.features, data.prices, data.outcomes):
+        assert a.base is None and a.flags.c_contiguous and not a.flags.writeable
+    np.testing.assert_array_equal(data.features, [[1.0, 2.0], [2.0, 3.0]])
+    np.testing.assert_array_equal(data.prices, [5.0, 4.0])
+
+
+def test_load_csv_repeated_column_is_an_error(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("x0,x0,price,sold,price\n1.0,2.0,5.0,1,6.0\n")
+    with pytest.raises(DataError) as err:
+        load_csv(f)
+    assert str(err.value) == f"{f}: column 'x0' appears more than once in the header"
+    f.write_text("x0, price,sold,price\n1.0,5.0,1,6.0\n")  # names are stripped
+    with pytest.raises(DataError, match="column 'price' appears more than once"):
+        load_csv(f)
+
+
 # --- split_halves -----------------------------------------------------------
 
 def two_class_dataset(n):

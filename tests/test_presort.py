@@ -2,8 +2,8 @@
 
 The reference below is the exact greedy search as it reads without
 presorting: every node sorts each feature of its own rows with a stable
-argsort. Growers that filter one presorted order per feature must give the
-same trees byte for byte.
+argsort. Growers that stably partition one presorted order per feature in
+place must give the same trees byte for byte.
 """
 
 import json
@@ -20,7 +20,7 @@ from sptlab.baselines import (EffectLeaf, EffectTree, OneVsAllPolicy,
                               _PersonalizationCriterion, assign_treatments,
                               export_one_vs_all, fit_ct_one_vs_all,
                               fit_naive_distill, fit_pt)
-from sptlab import spt
+from sptlab import baselines, boosting, spt, tree
 from sptlab.dataset import Dataset, PriceGrid, percentile_grid
 from sptlab.tree import presort, split_orders
 from sptlab.rng import CounterRng
@@ -39,7 +39,7 @@ from sptlab.teacher import RevenueMatrix, probability_matrix, revenue_matrix
 def test_filtered_global_order_equals_node_argsort(n, d, levels, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, d)).astype(np.float64)  # many ties
-    orders = presort(X, np.arange(n))
+    orders = presort(X.T, np.arange(n))
     rows = np.flatnonzero(rng.random(n) < 0.5)  # sorted, as growers keep them
     is_node = np.zeros(n, dtype=bool)
     is_node[rows] = True
@@ -49,16 +49,78 @@ def test_filtered_global_order_equals_node_argsort(n, d, levels, seed):
         np.testing.assert_array_equal(filtered, expect)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 60), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_split_orders_match_children_presort(n, d, seed):
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 3), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([(True, True), (True, False), (False, True)]),
+       st.sampled_from([1, 7, tree._PARTITION_CELLS]), st.integers(0, 2**32 - 1))
+def test_split_orders_match_children_presort(n, d, p_left, keep, cells, seed):
+    """The children's orders are the column ranges of the parent's orders,
+    partitioned in place, and equal each child's own presort; with
+    ``p_left`` 0 or 1 one child holds no rows."""
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
     rows = np.flatnonzero(rng.random(n) < 0.7)
-    go_left = rng.random(rows.size) < 0.5
-    left, right = split_orders(presort(X, rows), rows[go_left], n)
-    np.testing.assert_array_equal(left, presort(X, rows[go_left]))
-    np.testing.assert_array_equal(right, presort(X, rows[~go_left]))
+    go_left = rng.random(rows.size) < p_left
+    orders = presort(X.T, rows)
+    with mock.patch.object(tree, "_PARTITION_CELLS", cells):
+        got = split_orders(orders, rows[go_left], n, keep)
+    for child, flag, child_rows, cols in zip(
+            got, keep, (rows[go_left], rows[~go_left]),
+            (slice(0, go_left.sum()), slice(go_left.sum(), rows.size))):
+        if not flag:
+            assert child is None
+            continue
+        np.testing.assert_array_equal(child, presort(X.T, child_rows))
+        assert child.base is orders  # a view
+        np.testing.assert_array_equal(orders[:, cols], child)
+
+
+def test_split_orders_keeping_neither_child_leaves_the_orders():
+    X = np.asarray([[2.0], [0.0], [1.0]])
+    orders = presort(X.T, np.arange(3))
+    assert split_orders(orders, np.asarray([0]), 3, (False, False)) == (None, None)
+    np.testing.assert_array_equal(orders, [[1, 2, 0]])
+
+
+@pytest.mark.parametrize("fit", ["ct", "gbt"])
+def test_shared_root_orders_are_unchanged_by_a_fit(monkeypatch, fit):
+    """CT's structure-half orders serve all m trees and GBT's root orders
+    every round: each tree partitions a copy, so they stay as sorted."""
+    module = baselines if fit == "ct" else boosting
+    made = []
+
+    def spy(columns, rows):
+        orders = tree.presort(columns, rows)
+        made.append((orders, orders.copy()))
+        return orders
+
+    monkeypatch.setattr(module, "presort", spy)
+    data, grid, _ = _world(4, 700, 2)
+    if fit == "ct":
+        policy = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=3), 5)
+        assert all(len(t.nodes) > 1 for t in policy.trees)
+    else:
+        model = boosting.fit_boosted_trees(data.features, data.outcomes,
+                                           rounds=3, min_child_samples=5)
+        assert all(len(t.nodes) > 1 for t in model.trees)
+    assert len(made) == 1
+    np.testing.assert_array_equal(*made[0])
+
+
+@pytest.mark.parametrize("width", [1, 4, 9, 11, 18])
+@pytest.mark.parametrize("block_rows", [7, spt._BLOCK_ROWS])
+def test_blocked_node_sums_equal_one_sum(width, block_rows):
+    """``node_sums`` adds block by block what ``stats[rows].sum(axis=0)``
+    adds at once, bit for bit, across block boundaries."""
+    rng = np.random.default_rng(width)
+    n = 10000
+    crit = spt.StatsCriterion(rng.normal(size=(width, n))
+                              * 10.0 ** rng.integers(-3, 4, size=(width, n)))
+    for size in (0, 1, 7, 8, 4095, 4096, 4097, 8193, n):
+        rows = np.sort(rng.choice(n, size, replace=False))
+        with mock.patch.object(spt, "_BLOCK_ROWS", block_rows):
+            got = crit.node_sums(rows)
+        assert got.tobytes() == crit.stats[rows].sum(axis=0).tobytes(), size
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,7 +133,7 @@ def test_presort_equals_stable_argsort_on_both_paths(n, seed):
                          rng.random(n)])
     rows = rng.permutation(n)[:max(1, n // 2)]  # ties keep this order
     with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-        got = presort(X, rows)
+        got = presort(X.T, rows)
     want = rows[np.argsort(X[rows], axis=0, kind="stable")].T
     np.testing.assert_array_equal(got, want)
     stable = [c for c in spy.call_args_list if c.kwargs.get("kind") == "stable"]
@@ -88,7 +150,7 @@ def test_presort_tie_outside_the_sample_falls_back_to_stable():
                          rng.integers(0, 5, n).astype(float)])
     rows = rng.permutation(n)
     with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-        got = presort(X, np.arange(n))
+        got = presort(X.T, np.arange(n))
     want = np.argsort(X, axis=0, kind="stable").T
     np.testing.assert_array_equal(got, want)
     kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
@@ -96,12 +158,12 @@ def test_presort_tie_outside_the_sample_falls_back_to_stable():
     # the sample shows the tie, so stable only
     assert kinds == [None, None, "stable", "stable"]
     np.testing.assert_array_equal(
-        presort(X, rows), rows[np.argsort(X[rows], axis=0, kind="stable")].T)
+        presort(X.T, rows), rows[np.argsort(X[rows], axis=0, kind="stable")].T)
 
 
 def test_presort_keeps_caller_row_order_for_ties():
     X = np.asarray([[1.0], [0.0], [1.0], [0.0]])
-    np.testing.assert_array_equal(presort(X, np.asarray([2, 3, 0, 1])),
+    np.testing.assert_array_equal(presort(X.T, np.asarray([2, 3, 0, 1])),
                                   [[3, 1, 2, 0]])
 
 
@@ -206,7 +268,7 @@ def _check_sweeps(X, crit, rng):
     ws = SweepWorkspace(X, n, crit.stats.shape[1])  # one for every node below
     for size in (n, max(1, n // 3), n, max(2, (2 * n) // 3), 1):
         rows = np.sort(rng.choice(n, size=size, replace=False))
-        orders = presort(X, rows)
+        orders = presort(X.T, rows)
         for j, order in enumerate(orders):
             for min_leaf in range(1, max(1, size // 2) + 1):
                 got = _sweep_feature(ws, j, order, crit, min_leaf)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sptlab import rng as rng_module
 from sptlab.rng import CounterRng, derive_seed, standard_normal_ppf
 
 
@@ -70,6 +71,29 @@ def test_normals_moments():
     assert abs(z.std() - 1.0) < 0.01
     z2 = CounterRng(7).normals(100, mean=3.0, sd=0.5)
     assert abs(z2.mean() - 3.0) < 0.2
+
+
+def _single_shot_uniforms(seed, n, skip=0):
+    """Uniforms ``skip .. skip + n - 1`` of a stream, from one raw draw."""
+    raw = CounterRng(seed)._raw(skip + n)[skip:]
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+@pytest.mark.parametrize("block", [3, rng_module._DRAW_BLOCK])
+def test_blocked_draws_equal_one_block(monkeypatch, block):
+    """Draws are filled block by block; the values, and where the stream
+    stands afterwards, are those of one block of them all."""
+    monkeypatch.setattr(rng_module, "_DRAW_BLOCK", block)
+    n = 2 * rng_module._DRAW_BLOCK + 5 if block > 3 else 11
+    r = CounterRng(9)
+    u = _single_shot_uniforms(9, n + 4)
+    z = r.normals(n, mean=2.0, sd=3.0)
+    assert z.tobytes() == (2.0 + 3.0 * standard_normal_ppf(u[:n])).tobytes()
+    assert r.uniforms(4).tobytes() == u[n:].tobytes()
+    shaped = CounterRng(9).normals((n // 2, 2))  # row-major
+    assert shaped.shape == (n // 2, 2)
+    assert shaped.tobytes() == CounterRng(9).normals(n - n % 2).tobytes()
+    assert CounterRng(9).normals(0).shape == (0,)
 
 
 def test_permutation_is_permutation():

@@ -371,6 +371,16 @@ def test_dot_full_depth3_counts():
     assert dot.count('label="no"') == 7
 
 
+def test_dot_escapes_quotes_and_backslashes_in_feature_names():
+    tree = PolicyTree([SplitNode(0, 5.5, 1, 2), LeafNode(1.0, 0.0, 1),
+                       LeafNode(2.0, 0.0, 1)], 0, ('a"b\\c',),
+                      np.asarray([1.0, 2.0]), 1)
+    dot = export_tree(tree, "dot")
+    assert 'label="a\\"b\\\\c ≤ 5.5"' in dot
+    plain = PolicyTree(tree.nodes, 0, ("x0",), tree.grid_prices, 1)
+    assert 'label="x0 ≤ 5.5"' in export_tree(plain, "dot")
+
+
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         export_tree(single_leaf_tree(1.0), "xml")

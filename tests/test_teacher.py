@@ -174,7 +174,7 @@ def test_best_split_matches_per_feature_reference(n_all, d, levels, copy, seed,
     rows = np.flatnonzero(rng.random(n_all) < 0.7)
     n = rows.size
     min_child = (0, 1, n // 2, (n + 1) // 2, n // 2 + 1, 2)[child]
-    orders = presort(X, rows)
+    orders = presort(X.T, rows)
     want = _ref_best_split(X, g, h, rows, orders, min_child, 1.0)
     old = boosting._SPLIT_CELLS
     boosting._SPLIT_CELLS = per_chunk * max(n, 1) if per_chunk else old
@@ -192,7 +192,7 @@ def test_best_split_memory_is_bounded_by_the_chunk_cap():
     n, d = 6000, 41
     X = np.round(rng.normal(size=(n, d)), 2)
     g, h = rng.normal(size=n), rng.uniform(size=n)
-    orders = presort(X, np.arange(n))
+    orders = presort(X.T, np.arange(n))
     tracemalloc.start()
     try:
         got = boosting._best_split(X, g, h, orders, g.sum(), h.sum(), 20, 1.0)
