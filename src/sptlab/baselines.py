@@ -10,8 +10,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, PriceGrid, half_rows
 from .spt import (_BLOCK_ROWS, FitConfig, PolicyTree, StatsCriterion,
-                  SweepWorkspace, grow_tree, leaf_revenue, single_leaf_tree,
-                  split_node)
+                  SweepWorkspace, grow_tree, single_leaf_tree, split_node)
 from .teacher import RevenueMatrix, TeacherModel
 from .tree import (grow_preorder, json_field, leaf_values, nodes_from_json,
                    nodes_to_json, presort)
@@ -163,9 +162,14 @@ def naive_training_mse(tree: PolicyTree, features, targets) -> float:
 
 
 def constant_price_policy(revmat: RevenueMatrix) -> PolicyTree:
-    """Depth-0 comparator: the single grid price best on the whole sample."""
-    k, total = leaf_revenue(revmat, np.arange(revmat.n))
-    return single_leaf_tree(float(revmat.grid.prices[k]), total, revmat.n,
+    """Depth-0 comparator: the single grid price best on the whole sample.
+
+    The axis-0 sum of the C-order matrix adds its rows in the order that
+    ``leaf_revenue`` over every row does, without that call's copy of the
+    matrix."""
+    sums = revmat.values.sum(axis=0)
+    k = int(np.argmax(sums))
+    return single_leaf_tree(float(revmat.grid.prices[k]), float(sums[k]), revmat.n,
                             revmat.grid.prices)
 
 

@@ -13,6 +13,9 @@ G^2/(H + l2).
 
 Predictions are sigmoid(base_score + learning_rate * sum_t tree_t(x)), so
 the ensemble is prefix-stable: adding rounds never changes earlier trees.
+Predictions over a price grid (``BoostedTrees.predict_proba_grid``) route
+each row down each tree once per range of prices, not once per price, and
+add the same numbers in the same order as a per-price prediction.
 Training is fully deterministic (no subsampling), ties in split search
 resolve to the lowest feature index then lowest threshold.
 """
@@ -26,8 +29,8 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import DataError, open_text
-from .tree import (SplitNode, check_structure, leaf_values, place_node, presort,
-                   split_orders)
+from .tree import (SplitNode, check_structure, grid_leaf_values, leaf_values,
+                   place_node, presort, split_orders)
 
 _EPS_GAIN = 1e-12
 
@@ -148,6 +151,20 @@ class BoostedTrees:
 
     def predict_proba(self, X: np.ndarray, n_trees: int | None = None) -> np.ndarray:
         return expit(self.predict_margin(X, n_trees))
+
+    def predict_proba_grid(self, X: np.ndarray, prices) -> np.ndarray:
+        """(m, n) probabilities: [k, i] is ``predict_proba`` of row i of X with
+        the ascending ``prices[k]`` appended as the last feature. Each tree
+        fills an (m, n) block of leaf values (``tree.grid_leaf_values``) that
+        is scaled and added to the margin in tree order, so each entry adds
+        the same numbers in the same order as ``predict_margin``."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        margin = np.full((len(prices), X.shape[0]), self.base_score)
+        for tree in self.trees:
+            vals = grid_leaf_values(tree.nodes, 0, X, prices, "value")
+            vals *= self.learning_rate
+            margin += vals
+        return expit(margin)
 
 
 def fit_boosted_trees(X, y, rounds=50, learning_rate=0.1, max_leaves=31,

@@ -53,9 +53,9 @@ def _owned(a, dtype) -> np.ndarray:
 class Dataset:
     """Observational pricing data: features x_i, observed price p_i, sold flag y_i.
 
-    Immutable after construction and safe to share across workers: a
-    Dataset owns its arrays. It copies each input, except a read-only array
-    of the right type that owns its memory, which it keeps as it is.
+    Immutable after construction: a Dataset owns its arrays. It copies each
+    input, except a read-only array of the right type that owns its memory,
+    which it keeps as it is.
     """
 
     features: np.ndarray
@@ -179,8 +179,10 @@ def load_csv(path) -> Dataset:
         raise DataError(f"{path}: no data rows")
     names = tuple(header[i] for i in feat_cols)
     try:
-        return Dataset(table[:, feat_cols], table[:, price_col], table[:, sold_col],
-                       names)
+        # take gathers the features into a new C-order array, which the
+        # Dataset keeps; table[:, feat_cols] is F-order, so it would copy it
+        return Dataset(_freeze(table.take(feat_cols, axis=1)), table[:, price_col],
+                       table[:, sold_col], names)
     except DataError:  # a non-finite feature or price, or 'sold' not 0 or 1
         _checked_cells(path, header, sold_col)  # raises, naming the first one
         raise

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -294,20 +293,12 @@ def _run_group(plan: ExperimentPlan, cells: list[tuple]) -> list[dict]:
 
 
 def run_experiment(plan: ExperimentPlan) -> list[dict]:
-    """Run every cell of the plan; rows come back sorted by key so output is
-    independent of scheduling.
+    """Run every cell of the plan; rows come back sorted by key.
 
     Cells are grouped by (spec, n_train, seed): each group generates its data
     and fits its teacher once, then runs ``run_cell`` for each depth or
-    minsplit. Up to SPTLAB_THREADS groups run at a time."""
-    groups = _cell_groups(plan)
-    workers = max(1, int(os.environ.get("SPTLAB_THREADS", "1")))
-    if workers == 1:
-        nested = [_run_group(plan, cells) for cells in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(lambda cells: _run_group(plan, cells), groups))
-    rows = [row for group in nested for row in group]
+    minsplit. The groups run one after another."""
+    rows = [row for cells in _cell_groups(plan) for row in _run_group(plan, cells)]
     rows.sort(key=lambda r: (r["spec"], r["policy"], r["depth"], r["minsplit"],
                              r["n_train"], r["seed"]))
     return rows

@@ -19,9 +19,8 @@ owns one ``SweepWorkspace``: the fit's one column-major copy of the
 features, from which the orders are sorted too, and (statistics x rows)
 blocks sized for its largest node, in which the split sweep of every
 feature at every node gathers and cumulates its statistics instead of
-allocating fresh arrays. It is never shared between fits, which may run on
-different threads. Node sums and boundary scores are taken in blocks of
-rows, so no step holds a (rows x statistics) copy of a large node.
+allocating fresh arrays. Node sums and boundary scores are taken in blocks
+of rows, so no step holds a (rows x statistics) copy of a large node.
 """
 
 from __future__ import annotations

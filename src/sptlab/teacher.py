@@ -165,34 +165,21 @@ def fit_gbt(train: Dataset, config: GbtConfig = GbtConfig()) -> GradientBoostedT
     return GradientBoostedTeacher(booster)
 
 
-# Rows per stacked boosted-teacher pass. Stacking amortizes the per-node
-# Python work of Tree.predict; past ~100k rows (d=20) the stacked pass is
-# slower than per-price columns and its transient copy of X grows with n.
-_STACKED_ROWS = 50_000
-
-
 def probability_matrix(model: TeacherModel, features: np.ndarray,
                        grid: PriceGrid) -> np.ndarray:
     """P[i, k] = f(x_i, p_k) over the whole grid, C-contiguous n x m.
 
-    The boosted teacher predicts the (row, price) pairs of several prices in
-    one stacked pass of up to ``_STACKED_ROWS`` rows; each pair's prediction
-    is computed independently, so the bits match the per-price columns.
-    Other teachers are queried one price at a time, since numpy does not
-    promise identical bits for transcendental ufuncs evaluated over a
-    broadcast array.
+    The boosted teacher routes each row down each tree once per range of
+    grid prices (``BoostedTrees.predict_proba_grid``); each entry adds the
+    same numbers in the same order as ``predict_proba_batch`` at its price,
+    so the bits match the per-price columns. Other teachers are queried one
+    price at a time, since numpy does not promise identical bits for
+    transcendental ufuncs evaluated over a broadcast array.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if isinstance(model, GradientBoostedTeacher):
-        n = X.shape[0]
-        step = max(1, _STACKED_ROWS // max(n, 1))
-        blocks = []
-        for lo in range(0, grid.m, step):
-            prices = grid.prices[lo:lo + step]
-            flat = model.predict_proba_batch(np.tile(X, (prices.size, 1)),
-                                             np.repeat(prices, n))
-            blocks.append(flat.reshape(prices.size, n))
-        return np.ascontiguousarray(np.concatenate(blocks).T)
+        X = model._check_dim(X)
+        return np.ascontiguousarray(model.booster.predict_proba_grid(X, grid.prices).T)
     return np.column_stack(
         [model.predict_proba_batch(X, float(p)) for p in grid.prices])
 

@@ -72,6 +72,41 @@ def leaf_values(nodes, root, X, field: str) -> np.ndarray:
     return values[apply(nodes, root, X)]
 
 
+def grid_leaf_values(nodes, root, X, prices, field: str) -> np.ndarray:
+    """(m, n) array whose [k, i] is the ``field`` of the leaf that row i of
+    X reaches with ``prices[k]`` appended as its last feature, feature
+    ``X.shape[1]``; ``prices`` must be ascending.
+
+    A node is reached by a set of rows and a range [a, b) of prices. The
+    prices at or below a price split's threshold are a prefix of the range,
+    so that split cuts the range and sends the same rows both ways; any other
+    split partitions the rows. Each row is therefore routed once per price
+    range rather than once per price, and reaches the leaf that ``apply``
+    finds for each of its (row, price) pairs.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    prices = np.asarray(prices, dtype=np.float64)
+    d = X.shape[1]
+    out = np.empty((prices.size, X.shape[0]))
+    stack = [(root, 0, prices.size, np.arange(X.shape[0]))]
+    while stack:
+        nid, a, b, idx = stack.pop()
+        if a == b or idx.size == 0:
+            continue
+        node = nodes[nid]
+        if not isinstance(node, SplitNode):
+            out[a:b, idx] = getattr(node, field)
+        elif node.feature == d:
+            cut = a + int(np.searchsorted(prices[a:b], node.threshold, side="right"))
+            stack.append((node.left, a, cut, idx))
+            stack.append((node.right, cut, b, idx))
+        else:
+            go_left = X[idx, node.feature] <= node.threshold
+            stack.append((node.left, a, b, idx[go_left]))
+            stack.append((node.right, a, b, idx[~go_left]))
+    return out
+
+
 def check_structure(nodes, root, where: str = "") -> int:
     """Depth of a proper binary tree: a DataError, its message prefixed by
     ``where``, unless every node is reached from ``root`` exactly once (no

@@ -9,10 +9,10 @@ from sptlab.baselines import (OneVsAllPolicy, assign_treatments,
                               historical_policy_revenue, naive_training_mse,
                               one_vs_all_from_json, sum_rows_pairwise)
 from sptlab.dataset import DataError, Dataset, PriceGrid, percentile_grid
-from sptlab.spt import FitConfig, LeafNode
-from sptlab.synth import generate, make_spec
+from sptlab.spt import FitConfig, LeafNode, leaf_revenue
+from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import (OracleTeacher, RevenueMatrix, fit_gbt, GbtConfig,
-                            probability_matrix)
+                            probability_matrix, revenue_matrix)
 
 
 def dataset_from(prices, outcomes, features=None):
@@ -274,6 +274,21 @@ def test_constant_price_single_column():
 def test_constant_price_uniform_ties_low():
     rm = RevenueMatrix(np.full((3, 2), 0.5), PriceGrid(np.asarray([1.0, 2.0])))
     assert constant_price_policy(rm).predict_price([0.0]) == 1.0
+
+
+@pytest.mark.parametrize("spec_id", [2, 4, 6])
+def test_constant_price_policy_matches_leaf_revenue_bytes(spec_id):
+    """The column sums of the whole matrix are those of its gathered copy."""
+    spec = make_spec(spec_id)
+    data = generate(spec, 3000, 2)
+    grid = percentile_grid(data.prices)
+    rm = revenue_matrix(probability_matrix(oracle_teacher(spec), data.features,
+                                           grid), grid)
+    leaf = constant_price_policy(rm).nodes[0]
+    k, total = leaf_revenue(rm, np.arange(rm.n))
+    assert leaf.price == grid.prices[k]
+    assert np.float64(leaf.revenue_sum).tobytes() == np.float64(total).tobytes()
+    assert leaf.n_train == rm.n
 
 
 def test_historical_policy_revenue():

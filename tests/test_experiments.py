@@ -1,3 +1,7 @@
+import ast
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,11 +91,35 @@ def test_run_experiment_deterministic():
     assert a == b
 
 
-def test_run_experiment_parallel_matches_serial(monkeypatch):
+def test_run_experiment_runs_every_cell_on_the_calling_thread(monkeypatch):
     plan = tiny_plan()
     serial = run_experiment(plan)
-    monkeypatch.setenv("SPTLAB_THREADS", "3")
+    threads = []
+    original = experiments.run_cell
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_cell", spy)
+    monkeypatch.setenv("SPTLAB_THREADS", "3")  # a former pool size, now unread
     assert run_experiment(plan) == serial
+    assert threads and set(threads) == {threading.get_ident()}
+
+
+def test_no_module_imports_threads():
+    """numpy loads threading and concurrent itself, so sys.modules would not
+    show an import by sptlab: the sources are read instead."""
+    for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            roots = {name.split(".")[0] for name in names}
+            assert not roots & {"threading", "concurrent"}, (path.name, names)
 
 
 def test_run_experiment_gbt_and_evaluator_path():
@@ -176,7 +204,6 @@ def test_sweep_calls_run_cell_once_per_cell(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_cell", spy)
-    monkeypatch.setenv("SPTLAB_THREADS", "2")
     run_experiment(plan)
     assert sorted(a[1:] for a in seen) == [(1, 400, seed, depth, None)
                                           for seed in (0, 1) for depth in (1, 2)]

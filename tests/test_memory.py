@@ -1,5 +1,6 @@
-"""Peak memory of the policy-tree fits and of sample generation, traced by
-tracemalloc on the d=20 world.
+"""Peak memory of the policy-tree fits, of the constant-price comparator, of
+sample generation and of loading a dataset CSV, traced by tracemalloc on the
+d=20 world.
 
 A fit holds one column-major copy of its features, one order buffer of the
 same size (an int64 per feature and row) that its splits partition in
@@ -14,8 +15,9 @@ import tracemalloc
 import pytest
 
 from sptlab import rng
-from sptlab.baselines import fit_ct_one_vs_all, fit_naive_distill, fit_pt
-from sptlab.dataset import percentile_grid
+from sptlab.baselines import (constant_price_policy, fit_ct_one_vs_all,
+                              fit_naive_distill, fit_pt)
+from sptlab.dataset import load_csv, percentile_grid, write_csv
 from sptlab.spt import FitConfig, fit_spt
 from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import probability_matrix, revenue_matrix
@@ -61,3 +63,19 @@ def test_generate_peak_is_the_sample_and_a_block_of_draws():
     spec, n = make_spec(2), 50000
     peak = _peak(lambda: generate(spec, n, 0))
     assert peak <= 8 * n * spec.d + 64 * n + 64 * rng._DRAW_BLOCK
+
+
+def test_constant_price_peak_is_not_a_copy_of_the_matrix(world):
+    """Summing a gathered copy of the (n, m) matrix takes its 1.4 MB."""
+    revmat = world[3]
+    assert _peak(lambda: constant_price_policy(revmat)) < revmat.values.nbytes // 10
+
+
+def test_load_csv_peak_is_the_table_and_one_copy_of_its_features(world, tmp_path):
+    """The parse table, the features gathered once in C order and a few
+    per-row columns; an F-order gather copied again into C order breaks it."""
+    data = world[0]
+    path = tmp_path / "data.csv"
+    write_csv(data, path)
+    peak = _peak(lambda: load_csv(path))
+    assert peak <= 8 * N * (data.d + 2) + data.features.nbytes + 64 * N

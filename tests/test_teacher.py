@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -18,7 +19,7 @@ from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import (GbtConfig, GradientBoostedTeacher, OracleTeacher,
                             RevenueMatrix, auc, fit_gbt, load_table_teacher,
                             probability_matrix, revenue_matrix)
-from sptlab.tree import presort
+from sptlab.tree import SplitNode, presort
 
 
 def erf_cdf(z):
@@ -408,21 +409,56 @@ def test_revenue_matrix_recomputation_bit_identical():
     assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("stacked_rows", [None, 800, 1])
-def test_probability_matrix_stacked_gbt_pass_matches_per_price_columns(
-        monkeypatch, stacked_rows):
-    if stacked_rows is not None:  # 2 prices per pass, then one per pass
-        monkeypatch.setattr(teacher_module, "_STACKED_ROWS", stacked_rows)
+def per_price_columns(model, X, grid):
+    return np.column_stack([model.predict_proba_batch(X, float(p))
+                            for p in grid.prices])
+
+
+def test_probability_matrix_gbt_matches_per_price_columns():
     data = generate(make_spec(2), 400, 5)
     grid = PriceGrid(np.percentile(data.prices, [10, 30, 50, 70, 90]))
     model = fit_gbt(data, GbtConfig(rounds=8))
     probs = probability_matrix(model, data.features, grid)
-    cols = np.column_stack([model.predict_proba_batch(data.features, float(p))
-                            for p in grid.prices])
+    cols = per_price_columns(model, data.features, grid)
     assert probs.flags.c_contiguous
     assert np.array_equal(probs, cols)
     rm = revenue_matrix(probs, grid)
     assert np.array_equal(rm.values, grid.prices * cols)
+
+
+@functools.cache
+def routed_world():
+    """A small boosted teacher, its data and its price thresholds."""
+    data = generate(make_spec(4), 300, 11)
+    model = fit_gbt(data, GbtConfig(rounds=6, min_child_samples=5))
+    thresholds = sorted({node.threshold for tree in model.booster.trees
+                         for node in tree.nodes
+                         if isinstance(node, SplitNode) and node.feature == data.d})
+    return data, model, np.asarray(thresholds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_probability_matrix_routed_gbt_pass_is_bitwise_per_price(draw):
+    """Grids across the price thresholds (with a price equal to one of them),
+    wholly below or wholly above them, of one price or several."""
+    data, model, thr = routed_world()
+    assert thr.size >= 2
+    region = draw.draw(st.sampled_from(["across", "below", "above"]))
+    lo, hi = {"across": (thr[0] - 1.0, thr[-1] + 1.0),
+              "below": (thr[0] - 5.0, np.nextafter(thr[0], -np.inf)),
+              "above": (np.nextafter(thr[-1], np.inf), thr[-1] + 5.0)}[region]
+    prices = draw.draw(st.lists(st.floats(float(lo), float(hi)),
+                                min_size=0 if region == "across" else 1,
+                                max_size=7))
+    if region == "across":
+        prices.append(draw.draw(st.sampled_from(thr.tolist())))
+    grid = PriceGrid(np.unique(prices))
+    rows = draw.draw(st.sampled_from([slice(None), slice(0, 1), slice(7, 40)]))
+    X = data.features[rows]
+    probs = probability_matrix(model, X, grid)
+    assert probs.shape == (X.shape[0], grid.m) and probs.flags.c_contiguous
+    assert probs.tobytes() == per_price_columns(model, X, grid).tobytes()
 
 
 def test_revenue_matrix_scales_probabilities_by_price():
