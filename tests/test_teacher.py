@@ -414,12 +414,15 @@ def per_price_columns(model, X, grid):
                             for p in grid.prices])
 
 
-def test_probability_matrix_gbt_matches_per_price_columns():
+@pytest.mark.parametrize("n_rows", [None, 800, 1])
+def test_probability_matrix_stacked_gbt_pass_matches_per_price_columns(n_rows):
+    """The (m x n) pass over the grid, on all 1000 query rows, 800 or one."""
     data = generate(make_spec(2), 400, 5)
     grid = PriceGrid(np.percentile(data.prices, [10, 30, 50, 70, 90]))
     model = fit_gbt(data, GbtConfig(rounds=8))
-    probs = probability_matrix(model, data.features, grid)
-    cols = per_price_columns(model, data.features, grid)
+    X = generate(make_spec(2), 1000, 6).features[:n_rows]
+    probs = probability_matrix(model, X, grid)
+    cols = per_price_columns(model, X, grid)
     assert probs.flags.c_contiguous
     assert np.array_equal(probs, cols)
     rm = revenue_matrix(probs, grid)
