@@ -10,7 +10,8 @@ import numpy as np
 
 from .dataset import DataError, Dataset, PriceGrid, half_rows
 from .spt import (_BLOCK_ROWS, FitConfig, PolicyTree, StatsCriterion,
-                  SweepWorkspace, grow_tree, single_leaf_tree, split_node)
+                  SweepWorkspace, grow_tree, single_leaf_tree, split_node,
+                  stat_pairs)
 from .teacher import RevenueMatrix, TeacherModel
 from .tree import (grow_preorder, json_field, leaf_values, nodes_from_json,
                    nodes_to_json, presort)
@@ -42,11 +43,13 @@ class _PersonalizationCriterion(StatsCriterion):
     def __init__(self, data: Dataset, grid: PriceGrid):
         n, m = data.n, grid.m
         treatments = assign_treatments(data.prices, grid)
-        cols = np.zeros((2 * m, n))
-        rows = np.arange(n)
-        cols[treatments, rows] = data.prices * data.outcomes
-        cols[m + treatments, rows] = 1.0
-        super().__init__(cols)
+        pairs = np.zeros((m, n), dtype=np.complex128)  # stat_pairs' layout
+        flat = pairs.view(np.float64)  # [s // 2, 2 * i + s % 2] is statistic s of row i
+        twice = 2 * np.arange(n)
+        for s, value in ((treatments, data.prices * data.outcomes),
+                         (m + treatments, 1.0)):
+            flat[s // 2, twice + s % 2] = value
+        super().__init__(pairs, 2 * m)
         self.grid = grid
         self.m = m
 
@@ -101,17 +104,12 @@ def sum_rows_pairwise(block, out):
 
 class _MultiOutputMseCriterion(StatsCriterion):
     """Negative sum-of-squared-errors of the teacher probability vectors.
-    The statistics are the targets, their squared norm and a count row."""
-
-    count_row = True
+    The statistics are the targets, their squared norm and a row of ones."""
 
     def __init__(self, targets: np.ndarray, grid: PriceGrid):
         n, self.m = targets.shape
-        cols = np.empty((self.m + 2, n))
-        cols[:self.m] = targets.T
-        cols[self.m] = (targets ** 2).sum(axis=1)
-        cols[self.m + 1] = 1.0
-        super().__init__(cols)
+        super().__init__(stat_pairs([*targets.T, (targets ** 2).sum(axis=1), 1.0],
+                                    n), self.m + 2)
         self.grid = grid
 
     def node_score(self, rows):  # s @ s adds in its own order: kept as is
@@ -207,13 +205,12 @@ class _EffectVarianceCriterion(StatsCriterion):
     """Split score: sum over children of n * (effect estimate)^2, the greedy
     proxy for maximizing the variance of leaf effect estimates. Children
     lacking a treated or control observation are invalid (-inf). The
-    statistics are w, w * y, y and a count row."""
+    statistics are w, w * y, y and a row of ones."""
 
     WIDTH = 4  # statistics per row
-    count_row = True
 
     def __init__(self, y: np.ndarray, w: np.ndarray):
-        super().__init__(np.vstack([w, w * y, y, np.ones(y.size)]))
+        super().__init__(stat_pairs([w, w * y, y, 1.0], y.size), self.WIDTH)
         block = min(y.size, _BLOCK_ROWS)
         self._nc, self._invalid = np.empty(block), np.empty(block, dtype=bool)
 
@@ -306,7 +303,7 @@ def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, config: FitConfig,
     X = data.features
     y = data.outcomes.astype(np.float64)
     ws = SweepWorkspace(X, struct_rows.size, _EffectVarianceCriterion.WIDTH)
-    struct_orders = presort(ws.columns, struct_rows)  # these and ws serve all m trees
+    struct_orders, ws.untied = presort(ws.columns, struct_rows)  # these and ws serve all m trees
     orders = np.empty_like(struct_orders)  # each tree partitions its own copy
     trees = []
     for t in range(grid.m):

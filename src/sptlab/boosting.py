@@ -4,12 +4,16 @@ Second-order boosting on regression trees: per round, gradients
 g_i = sigmoid(F_i) - y_i and hessians h_i = sigmoid(F_i)(1 - sigmoid(F_i))
 are fitted by a tree grown leaf-wise (always splitting the leaf with the
 largest gain) up to ``max_leaves`` leaves, with exact split search over all
-observed feature values. A fit sorts each column once and every node reads
-its rows in that order (``sptlab.tree``): each round copies the sorted
-orders into one buffer that its splits partition in place. A node scores
-all its features at once, in cache-sized chunks of features. Leaf weight
-is -G/(H + l2); split gain is G_L^2/(H_L + l2) + G_R^2/(H_R + l2) -
-G^2/(H + l2).
+observed feature values. A fit reads its features through one column-major
+copy, sorts each column once and every node reads its rows in that order
+(``sptlab.tree``): each round copies the sorted orders into one buffer that
+its splits partition in place. Each round packs its gradients and hessians
+into one complex vector g + 1j * h, so that a node cumulates both with one
+complex cumsum, each lane adding what a float cumsum of g or h alone adds.
+A node scores all its features at once, in cache-sized chunks of
+features; only a column with ties is read to mask the gaps that are not
+value boundaries. Leaf weight is -G/(H + l2); split gain is
+G_L^2/(H_L + l2) + G_R^2/(H_R + l2) - G^2/(H + l2).
 
 Predictions are sigmoid(base_score + learning_rate * sum_t tree_t(x)), so
 the ensemble is prefix-stable: adding rounds never changes earlier trees.
@@ -52,22 +56,27 @@ class Tree:
 
 # Feature x row cells per chunk of the whole-node split search. A node with
 # more cells than this searches its features in chunks of at least one
-# feature. A chunk's blocks and temporaries take 48-64 bytes a cell, so a
-# call holds at most about 64 * max(_SPLIT_CELLS, n) bytes, 1 MB at 2**14
+# feature. A chunk's blocks and temporaries take about 40 bytes a cell, so a
+# call holds at most about 42 * max(_SPLIT_CELLS, n) bytes, 0.7 MB at 2**14
 # cells; blocks that small stay in a core's L2 cache, which measured faster
 # than whole-node blocks for d=20.
 _SPLIT_CELLS = 1 << 14
 
 
-def _best_split(X, g, h, orders, G, H, min_child, l2):
+def _best_split(columns, gh, orders, untied, G, H, min_child, l2):
     """Best (gain, feature, threshold) for one node, or None.
 
-    ``X`` is C-contiguous, ``orders`` the node's ``presort(X.T, rows)`` and
-    G, H the node's gradient and hessian sums. The features of a chunk are
-    scored at once: row j of a (features, rows) block is gathered through
-    ``orders[j]`` and cumulated left to right, so each gain adds the same
-    numbers in the same order as a sweep of feature j alone. Ties go to the
-    lowest feature, then the lowest threshold."""
+    ``columns`` is the fit's (d, n) column-major features, ``gh`` the
+    complex per-row statistics g + 1j * h, ``orders, untied`` the node's
+    ``presort(columns, rows)`` (``untied`` may be that of any superset of
+    the rows) and G, H the node's gradient and hessian sums. The features of
+    a chunk are scored at once: row j of a (features, rows) block of ``gh``
+    is gathered through ``orders[j]`` and cumulated left to right by one
+    complex cumsum, whose real and imaginary lanes add the same numbers in
+    the same order as a cumsum of g and of h alone for feature j. Only the
+    gaps of a tied column need its values, to mask those that are not a
+    value boundary. One argmax over the chunk's row-major gains takes the
+    lowest feature, then the lowest threshold, among equal gains."""
     d, n = orders.shape
     m = max(min_child, 1)  # each side holds at least one row anyway
     if n < 2 * m:
@@ -78,27 +87,51 @@ def _best_split(X, g, h, orders, G, H, min_child, l2):
     step = max(1, _SPLIT_CELLS // n)
     for j0 in range(0, d, step):
         order = orders[j0:j0 + step]
-        # X.ravel()[r * d + j] is X[r, j]
-        xs = X.ravel()[order[:, :hi + 1] * d
-                       + np.arange(j0, j0 + order.shape[0])[:, None]]
-        gc = np.cumsum(g[order[:, :hi]], axis=1)[:, lo:]
-        hc = np.cumsum(h[order[:, :hi]], axis=1)[:, lo:]
-        gains = gc * gc / (hc + l2) + (G - gc) ** 2 / (H - hc + l2) - parent
-        gains[~(xs[:, lo:hi] < xs[:, lo + 1:])] = -np.inf  # not a value boundary
-        for k, i in enumerate(np.argmax(gains, axis=1)):
-            gain = gains[k, i]
-            if gain > _EPS_GAIN and (best is None or gain > best[0]):
-                best = (float(gain), j0 + k, float(xs[k, lo + i]))
+        tied = (~untied[j0:j0 + order.shape[0]]).nonzero()[0]
+        if tied.size:  # in an untied column every gap is a value boundary
+            # columns.ravel()[j * n_all + r] is columns[j, r]
+            xs = columns.ravel()[order[tied, lo:hi + 1]
+                                 + (j0 + tied)[:, None] * columns.shape[1]]
+            cut = np.zeros((order.shape[0], hi - lo), dtype=bool)
+            cut[tied] = ~(xs[:, :-1] < xs[:, 1:])  # not a value boundary
+            del xs
+        cum = gh[order[:, :hi]]
+        cum.cumsum(axis=1, out=cum)
+        gc, hc = cum.real[:, lo:], cum.imag[:, lo:]
+        gains = gc * gc
+        den = hc + l2
+        gains /= den
+        num = G - gc
+        num *= num
+        np.subtract(H, hc, out=den)
+        den += l2
+        num /= den
+        gains += num
+        gains -= parent
+        del cum, gc, hc, den, num  # freed before the next chunk's blocks
+        if tied.size:
+            gains[cut] = -np.inf
+        k, t = divmod(int(gains.argmax()), gains.shape[1])
+        gain = gains[k, t]
+        if gain != gain:  # NaN: it hides only its own feature's gains
+            gains[np.isnan(gains).any(axis=1)] = -np.inf
+            k, t = divmod(int(gains.argmax()), gains.shape[1])
+            gain = gains[k, t]
+        if gain > _EPS_GAIN and (best is None or gain > best[0]):
+            best = (float(gain), j0 + k, float(columns[j0 + k, order[k, lo + t]]))
     return best
 
 
-def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
+def _grow_tree(columns, g, h, root_orders, untied, max_leaves, min_child, l2):
     """One leaf-wise tree and its training partition: (tree, {leaf id: rows}).
 
-    ``root_orders`` is ``presort(X.T, all rows)``, which the splits
-    partition in place. Node ids are given in creation order, the two
-    children of a split together."""
+    ``root_orders, untied`` is ``presort(columns, all rows)``; the splits
+    partition ``root_orders`` in place. Node ids are given in creation
+    order, the two children of a split together."""
     nodes, rows_of, orders_of = [], {}, {}
+    n_all = columns.shape[1]
+    gh = np.empty(n_all, dtype=np.complex128)
+    gh.real, gh.imag = g, h
 
     def new_node(rows, orders):
         nid = len(nodes)
@@ -106,18 +139,18 @@ def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
         nodes.append(ValueLeaf(-G / (H + l2)))
         rows_of[nid] = rows
         cand = (None if orders is None  # no orders: the node never splits
-                else _best_split(X, g, h, orders, G, H, min_child, l2))
+                else _best_split(columns, gh, orders, untied, G, H, min_child, l2))
         if cand is not None:  # only leaves that may split keep their orders
             orders_of[nid] = orders
             heapq.heappush(heap, (-cand[0], nid, cand[1], cand[2]))  # ties: older leaf
 
     heap = []
-    new_node(np.arange(X.shape[0]), root_orders)
+    new_node(np.arange(n_all), root_orders)
     n_leaves = 1
     while n_leaves < max_leaves and heap:
         _, nid, j, thr = heapq.heappop(heap)
         rows = rows_of.pop(nid)
-        go_left = X[rows, j] <= thr
+        go_left = columns[j][rows] <= thr
         left, right = rows[go_left], rows[~go_left]
         n_leaves += 1
         # a child under 2 * min_child rows has no split candidate, and the
@@ -126,7 +159,7 @@ def _grow_tree(X, g, h, root_orders, max_leaves, min_child, l2):
         keep = (not last and left.size >= 2 * min_child,
                 not last and right.size >= 2 * min_child)
         left_orders, right_orders = split_orders(orders_of.pop(nid), left,
-                                                 X.shape[0], keep)
+                                                 n_all, keep)
         nodes[nid] = SplitNode(j, thr, len(nodes), len(nodes) + 1)
         new_node(left, left_orders)
         new_node(right, right_orders)
@@ -169,19 +202,21 @@ class BoostedTrees:
 
 def fit_boosted_trees(X, y, rounds=50, learning_rate=0.1, max_leaves=31,
                       min_child_samples=20, l2=1.0) -> BoostedTrees:
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    """Fit on the (n, d) features X. The fit reads X through one (d, n)
+    column-major copy (none when X is already a float64 F-order array)."""
+    columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
     y = np.asarray(y, dtype=np.float64)
     p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
     base = float(np.log(p0 / (1.0 - p0)))
-    model = BoostedTrees(base, learning_rate, X.shape[1])
-    margin = np.full(X.shape[0], base)
-    root_orders = presort(X.T, np.arange(X.shape[0]))
+    model = BoostedTrees(base, learning_rate, columns.shape[0])
+    margin = np.full(columns.shape[1], base)
+    root_orders, untied = presort(columns, np.arange(columns.shape[1]))
     orders = np.empty_like(root_orders)  # each tree partitions its own copy
     for _ in range(rounds):
         p = expit(margin)
         np.copyto(orders, root_orders)
-        tree, leaf_rows = _grow_tree(X, p - y, p * (1.0 - p), orders,
-                                     max_leaves, min_child_samples, l2)
+        tree, leaf_rows = _grow_tree(columns, p - y, p * (1.0 - p), orders,
+                                     untied, max_leaves, min_child_samples, l2)
         for nid, rows in leaf_rows.items():  # what tree.predict(X) would add
             margin[rows] += learning_rate * tree.nodes[nid].value
         model.trees.append(tree)

@@ -14,13 +14,16 @@ The same engine drives the baseline trees (different node criteria plugged
 into ``grow_tree``). Each fit sorts every feature once and hands each node
 its rows in feature order (``sptlab.tree``): one order buffer per fit, which
 every split partitions in place. Each criterion holds its per-row
-statistics column-major, one contiguous row per statistic, and each fit
-owns one ``SweepWorkspace``: the fit's one column-major copy of the
-features, from which the orders are sorted too, and (statistics x rows)
-blocks sized for its largest node, in which the split sweep of every
-feature at every node gathers and cumulates its statistics instead of
-allocating fresh arrays. Node sums and boundary scores are taken in blocks
-of rows, so no step holds a (rows x statistics) copy of a large node.
+statistics two to a complex number, one contiguous complex row per pair of
+statistics (``stat_pairs``), so that one complex cumsum cumulates two
+statistics, each lane adding what a float cumsum of its statistic adds.
+Each fit owns one ``SweepWorkspace``: the fit's one column-major copy of
+the features, from which the orders are sorted too, the flags of its
+untied columns, and blocks sized for its largest node, in which the split
+sweep of every feature at every node gathers and cumulates its statistic
+pairs instead of allocating fresh arrays. Node sums and boundary scores
+are taken in blocks of rows, so no step holds a (rows x statistics) copy
+of a large node.
 """
 
 from __future__ import annotations
@@ -126,44 +129,63 @@ class PolicyTree:
 _BLOCK_ROWS = 4096
 
 
+def stat_pairs(stats, n: int) -> np.ndarray:
+    """The ``(ceil(width / 2), n)`` complex array of the ``width`` per-row
+    statistics ``stats`` (each a length-n vector or a scalar), two to a
+    row: statistic s is lane ``s % 2`` (real, imaginary) of row ``s // 2``.
+    An odd last statistic pairs with itself. Each statistic is written
+    straight into its lane, so no ``(width, n)`` float copy is made."""
+    pairs = np.empty(((len(stats) + 1) // 2, n), dtype=np.complex128)
+    for s, values in enumerate(stats):
+        (pairs.real, pairs.imag)[s % 2][s // 2] = values
+    if len(stats) % 2:
+        pairs.imag[-1] = pairs.real[-1]
+    return pairs
+
+
+def unpair(pairs, cols, out):
+    """Statistics 0, 1, ... of the columns ``cols`` (a slice or an index
+    array) of the complex ``pairs`` into the rows of the float ``out``."""
+    out[0::2] = pairs.real[:, cols]
+    out[1::2] = pairs.imag[:out.shape[0] // 2, cols]
+    return out
+
+
 class StatsCriterion:
-    """A node criterion over per-row statistics, held once as the contiguous
-    ``(width, n)`` array ``self.cols`` (one row per statistic, so a sweep
-    gathers and cumulates contiguous rows); ``self.stats`` is its ``(n,
-    width)`` transposed view. A node is scored from the sums of its rows'
-    statistics alone (a criterion that needs a node's row count keeps a
-    statistic of ones). Subclasses give ``scores_batch(sums, out)``, which
-    writes into ``out`` the scores of the nodes whose sums are the columns
-    of the ``(width, nodes)`` block ``sums`` and may overwrite ``sums``.
-    Policy-tree criteria also give ``leaf_payload(sums, count)`` ->
-    (price, revenue_sum) and the ``grid`` those prices are drawn from.
+    """A node criterion over ``width`` per-row statistics, held once as the
+    complex ``stat_pairs`` array ``self.pairs``. A complex add is two IEEE
+    adds, one per lane, so a sweep that gathers and cumulates the pairs of a
+    node's rows adds each statistic's numbers in the same order as a float
+    cumsum of that statistic alone, with half the adds and gathers. A node
+    is scored from the sums of its rows' statistics alone (a criterion that
+    needs a node's row count keeps a statistic of ones, which cumulates to
+    exactly 1, 2, ..., n). Subclasses give ``scores_batch(sums, out)``,
+    which writes into ``out`` the scores of the nodes whose sums are the
+    columns of the float ``(width, nodes)`` block ``sums`` and may overwrite
+    ``sums``. Policy-tree criteria also give ``leaf_payload(sums, count)``
+    -> (price, revenue_sum) and the ``grid`` those prices are drawn from."""
 
-    A subclass whose last statistic is that row of ones sets ``count_row``.
-    The sweep then gathers and cumulates only the ``self.gathered`` rows
-    above it and copies the count row's cumulative sums, which are exactly
-    1, 2, ..., n."""
-
-    count_row = False
-
-    def __init__(self, cols):
-        self.cols = cols
-        self.stats = cols.T
-        self.gathered = cols.shape[0] - self.count_row
+    def __init__(self, pairs, width: int):
+        self.pairs = pairs
+        self.width = width
 
     def node_sums(self, rows):
-        """The column sums of ``stats[rows]``, taken in blocks of
-        ``_BLOCK_ROWS`` rows. ``stats[rows]`` is a C-order copy, whose axis-0
-        sum adds the rows one by one; adding the running sums into a block's
-        first row before summing the block adds the same numbers in the same
-        order. A single statistic is one contiguous column, which numpy sums
-        pairwise, so it is summed in one block."""
-        step = _BLOCK_ROWS if self.cols.shape[0] > 1 else max(1, rows.size)
-        sums = self.stats[rows[:step]].sum(axis=0)
-        for s in range(step, rows.size, step):
-            block = self.stats[rows[s:s + step]]
+        """The sums of the statistics over ``rows``, taken in blocks of
+        ``_BLOCK_ROWS`` rows. ``pairs.T[rows]`` is a C-order (rows, pairs)
+        copy; the axis-0 sum of its float view adds the rows one by one,
+        and adding the running sums into a block's first row before summing
+        the block adds the same numbers in the same order. A single
+        statistic is gathered into one contiguous vector, which numpy sums
+        pairwise, in one block."""
+        if self.width == 1:
+            return self.pairs.real[0][rows].sum(keepdims=True)
+        stats = self.pairs.T
+        sums = stats[rows[:_BLOCK_ROWS]].view(np.float64).sum(axis=0)
+        for s in range(_BLOCK_ROWS, rows.size, _BLOCK_ROWS):
+            block = stats[rows[s:s + _BLOCK_ROWS]].view(np.float64)
             block[0] += sums
             sums = block.sum(axis=0)
-        return sums
+        return sums[:self.width]
 
     def node_score(self, rows):
         out = np.empty(1)
@@ -175,7 +197,7 @@ class _RevenueCriterion(StatsCriterion):
     """max-over-prices column-sum score for the student prescriptive tree."""
 
     def __init__(self, revmat: RevenueMatrix):
-        super().__init__(np.ascontiguousarray(revmat.values.T))
+        super().__init__(stat_pairs(revmat.values.T, revmat.n), revmat.grid.m)
         self.grid = revmat.grid
 
     def scores_batch(self, sums, out):
@@ -190,30 +212,33 @@ class SweepWorkspace:
     """The buffers of one fit's split search, reused at every node.
 
     ``columns`` is the features in column-major order, so a node's values
-    of one feature are one contiguous gather. ``cum`` holds a ``(width,
-    rows)`` block of statistics for up to ``n_rows`` rows (the fit's largest
-    node); ``left`` and ``right`` hold one ``(width, rows)`` block of
-    boundaries. Each is flat, so that its block for any row count is
-    contiguous (``block``). ``counts`` is 1, 2, ..., ``n_rows``, the
-    cumulative sums of a count row.
+    of one feature are one contiguous gather, and ``untied`` flags the
+    columns without ties over the fit's rows (``presort``; all false until
+    the fit sets them). ``cum`` holds a complex ``(pairs, rows)`` block of
+    statistic pairs for up to ``n_rows`` rows (the fit's largest node), and
+    first a tied column's values; ``left`` and ``right`` hold one float
+    ``(width, rows)`` block of boundaries and ``scores`` their scores. Each
+    is flat, so that its block for any row count is contiguous (``block``).
     """
 
     def __init__(self, features, n_rows: int, width: int):
         self.columns = np.ascontiguousarray(np.asarray(features).T,
                                             dtype=np.float64)
+        self.untied = np.zeros(self.columns.shape[0], dtype=bool)
         self.width = width
-        self.xs = np.empty(n_rows)
         self.gaps = np.empty(n_rows, dtype=bool)
-        self.cum = np.empty(width * n_rows)
-        self.counts = np.arange(1.0, n_rows + 1)
-        self.scores = np.empty((2, n_rows))
+        self.cum = np.empty((width + 1) // 2 * n_rows, dtype=np.complex128)
         block = min(n_rows, _BLOCK_ROWS)
+        self.scores = np.empty((2, block))
         self.left = np.empty(width * block)
         self.right = np.empty(width * block)
+        self.total = np.empty((width, 1))
 
-    def block(self, buf, rows: int):
-        """The contiguous ``(width, rows)`` block at the start of ``buf``."""
-        return buf[:self.width * rows].reshape(self.width, rows)
+    def block(self, buf, rows: int, height=None):
+        """The contiguous ``(height, rows)`` block at the start of ``buf``,
+        ``height`` the width unless given."""
+        height = self.width if height is None else height
+        return buf[:height * rows].reshape(height, rows)
 
 
 def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
@@ -221,44 +246,52 @@ def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
     ``x_j`` with ties in row order, are ``order``: (combined, threshold,
     left_count) or None.
 
-    Only the gaps that leave ``min_leaf`` rows on each side are searched.
-    The node's statistics are gathered into the ``(width, rows)`` block
-    ``ws.cum`` and each statistic's row is cumulated there, except a count
-    row, whose cumulative sums are copied from ``ws.counts``. Boundaries are
-    scored in blocks of ``_BLOCK_ROWS``: when every searched gap is a
-    boundary (a feature without ties) a block's left sums are a slice of
-    ``ws.cum``, otherwise they are gathered into ``ws.left``; its right sums
-    are the total less the left sums.
+    Only the gaps that leave ``min_leaf`` rows on each side are searched;
+    on an untied column every one of them is a boundary, so only a tied
+    column's values are gathered to find its boundaries. The node's
+    statistic pairs are gathered into the complex ``(pairs, rows)`` block
+    ``ws.cum`` and cumulated there by one complex cumsum. Boundaries are
+    scored in blocks of ``_BLOCK_ROWS``: each block's cumulative pairs are
+    unpaired into the float left sums ``ws.left``, and its right sums are
+    the total less the left sums. The best boundary is a block's first
+    maximum, an earlier block's on a tie, so it is the first maximum of all.
     """
     n = order.size
     lo, hi = min_leaf - 1, n - min_leaf - 1  # gap b leaves b + 1 rows left
     if hi < lo:
         return None
-    # mode="clip": in the default mode take fills ``out`` through a temporary
-    xs = np.take(ws.columns[j], order, out=ws.xs[:n], mode="clip")
-    gaps = np.less(xs[lo:hi + 1], xs[lo + 1:hi + 2], out=ws.gaps[:hi + 1 - lo])
-    k = int(np.count_nonzero(gaps))
-    if k == 0:
-        return None
-    cum = ws.block(ws.cum, n)
-    g = crit.gathered
-    np.take(crit.cols[:g], order, axis=1, out=cum[:g], mode="clip")
-    np.cumsum(cum[:g], axis=1, out=cum[:g])
-    cum[g:] = ws.counts[:n]  # the count row, if the criterion has one
-    total = cum[:, n - 1:]  # scoring may overwrite the searched window only
-    pos = None if k == gaps.size else np.flatnonzero(gaps) + lo
+    k = hi + 1 - lo  # every searched gap of an untied column is a boundary
+    if not ws.untied[j]:
+        # the values serve only to find the gaps, so they may sit in ``ws.cum``
+        # until the pairs overwrite them; mode="clip": in the default mode
+        # take fills ``out`` through a temporary
+        xs = np.take(ws.columns[j], order, out=ws.cum.view(np.float64)[:n],
+                     mode="clip")
+        gaps = np.less(xs[lo:hi + 1], xs[lo + 1:hi + 2], out=ws.gaps[:k])
+        k = int(np.count_nonzero(gaps))
+        if k == 0:
+            return None
+    cum = ws.block(ws.cum, n, crit.pairs.shape[0])
+    np.take(crit.pairs, order, axis=1, out=cum, mode="clip")
+    np.cumsum(cum, axis=1, out=cum)
+    total = unpair(cum, slice(n - 1, n), ws.total)
+    pos = None if k == hi + 1 - lo else np.flatnonzero(gaps) + lo
+    best = None
     for s in range(0, k, _BLOCK_ROWS):
         e = min(k, s + _BLOCK_ROWS)
-        left = cum[:, lo + s:lo + e] if pos is None else \
-            np.take(cum, pos[s:e], axis=1, out=ws.block(ws.left, e - s),
-                    mode="clip")
+        left = unpair(cum, slice(lo + s, lo + e) if pos is None else pos[s:e],
+                      ws.block(ws.left, e - s))
         right = np.subtract(total, left, out=ws.block(ws.right, e - s))
-        crit.scores_batch(left, ws.scores[0, s:e])
-        crit.scores_batch(right, ws.scores[1, s:e])
-    combined = np.add(ws.scores[0, :k], ws.scores[1, :k], out=ws.scores[0, :k])
-    i = int(np.argmax(combined))  # first max = lowest threshold
+        combined, scores = ws.scores[0, :e - s], ws.scores[1, :e - s]
+        crit.scores_batch(left, combined)
+        crit.scores_batch(right, scores)
+        combined += scores
+        i = int(np.argmax(combined))  # first max = lowest threshold
+        if best is None or combined[i] > best[0]:  # ties: the earlier block
+            best = (float(combined[i]), s + i)
+    combined, i = best
     b = lo + i if pos is None else int(pos[i])
-    return float(combined[i]), float(xs[b]), b + 1
+    return combined, float(ws.columns[j, order[b]]), b + 1
 
 
 def best_split_generic(ws: SweepWorkspace, rows, orders, config: FitConfig,
@@ -307,7 +340,7 @@ def grow_tree(features, crit, config: FitConfig, feature_names) -> PolicyTree:
     n, d = features.shape
     names = tuple(feature_names) if feature_names is not None \
         else tuple(f"x{i}" for i in range(d))
-    ws = SweepWorkspace(features, n, crit.stats.shape[1])
+    ws = SweepWorkspace(features, n, crit.width)
 
     def visit(state):
         rows, orders, depth = state
@@ -320,7 +353,8 @@ def grow_tree(features, crit, config: FitConfig, feature_names) -> PolicyTree:
                 (*left, depth + 1), (*right, depth + 1))
 
     rows = np.arange(n)
-    nodes = grow_preorder((rows, presort(ws.columns, rows), 0), visit)
+    orders, ws.untied = presort(ws.columns, rows)
+    nodes = grow_preorder((rows, orders, 0), visit)
     return PolicyTree(nodes, 0, names, crit.grid.prices, check_structure(nodes, 0))
 
 
@@ -340,8 +374,9 @@ def best_split(revmat: RevenueMatrix, features, rows,
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     rows = np.asarray(rows, dtype=np.int64)
     crit = _RevenueCriterion(revmat)
-    ws = SweepWorkspace(features, rows.size, crit.stats.shape[1])
-    return best_split_generic(ws, rows, presort(ws.columns, rows), config, crit)
+    ws = SweepWorkspace(features, rows.size, crit.width)
+    orders, ws.untied = presort(ws.columns, rows)
+    return best_split_generic(ws, rows, orders, config, crit)
 
 
 def fit_spt(features, revmat: RevenueMatrix, config: FitConfig,

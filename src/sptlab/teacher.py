@@ -157,7 +157,7 @@ def fit_gbt(train: Dataset, config: GbtConfig = GbtConfig()) -> GradientBoostedT
         raise DataError("teacher training needs at least 2 rows")
     if train.outcomes.min() == train.outcomes.max():
         raise DataError("teacher training data must contain both outcome classes")
-    aug = np.column_stack([train.features, train.prices])
+    aug = np.vstack([train.features.T, train.prices]).T  # F-order: the fit's columns
     booster = boosting.fit_boosted_trees(
         aug, train.outcomes,
         rounds=config.rounds, learning_rate=config.learning_rate,

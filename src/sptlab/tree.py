@@ -17,10 +17,13 @@ child's orders equal a stable argsort of the child's own values: ties
 stay in the order of the child's rows. Sweeps over these orders therefore
 add the same numbers in the same order as a per-node argsort, and pick the
 same splits. Sorting reads one column-major feature at a time, so a fit
-keeps a single column-major copy of its features. The policy-tree growers
-of ``sptlab.spt`` also give each fit one ``SweepWorkspace``: that copy and
-the buffers in which every node's sweep over these orders gathers and
-cumulates its statistics, owned by the fit alone.
+keeps a single column-major copy of its features, and it notes which
+columns have no tie: in such a column, and in any node's subset of it,
+every gap between adjacent sorted rows is a value boundary. The
+policy-tree growers of ``sptlab.spt`` also give each fit one
+``SweepWorkspace``: that copy, those flags and the buffers in which every
+node's sweep over these orders gathers and cumulates its statistics, owned
+by the fit alone.
 """
 
 from __future__ import annotations
@@ -155,35 +158,42 @@ def grow_preorder(root, visit) -> list:
     return nodes
 
 
-def presort(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(d, len(rows)) orders of the ``(d, n)`` feature values ``columns``
-    (column-major: one row per feature): row j lists ``rows`` by ascending
-    ``columns[j]``, ties in the order they appear in ``rows``. The columns
-    are gathered one at a time, so no second copy of the features is made.
+def presort(columns: np.ndarray, rows: np.ndarray) -> tuple:
+    """``(orders, untied)``: the (d, len(rows)) orders of the ``(d, n)``
+    feature values ``columns`` (column-major: one row per feature), whose
+    row j lists ``rows`` by ascending ``columns[j]``, ties in the order they
+    appear in ``rows``; and a (d,) bool array, true for a column whose
+    values on ``rows`` are all distinct. The columns are gathered one at a
+    time, so no second copy of the features is made.
 
     Each column is sorted by numpy's default (vectorized, unstable) argsort.
     Without ties the ascending order is unique, so it equals the stable one;
     a column whose sorted values are not strictly increasing (a tie, or a
-    NaN) is sorted again with ``kind="stable"``. A column with a tie in an
-    evenly spaced sample of 256 to 511 of its values (all of them below 512
-    rows), as a feature of few levels has, goes to the stable sort at once.
+    NaN) is sorted again with ``kind="stable"`` and is not untied. A column
+    with a tie in an evenly spaced sample of 256 to 511 of its values (all
+    of them below 512 rows), as a feature of few levels has, goes to the
+    stable sort at once. Any subset of an untied column's rows is untied
+    too, so a sweep at any node below may treat every gap between adjacent
+    sorted rows of that column as a value boundary.
     """
     rows = np.asarray(rows, dtype=np.int64)
     orders = np.empty((columns.shape[0], rows.size), dtype=np.int64)
+    untied = np.zeros(columns.shape[0], dtype=bool)
     step = max(1, rows.size // 256)
-    for values, out in zip(columns, orders):
+    for j, (values, out) in enumerate(zip(columns, orders)):
         col = values[rows]
         sample = np.sort(col[::step])
         order = None
         if not np.any(sample[1:] == sample[:-1]):
             order = np.argsort(col)
             ranked = col[order]
-            if not np.all(ranked[1:] > ranked[:-1]):
+            untied[j] = np.all(ranked[1:] > ranked[:-1])
+            if not untied[j]:
                 order = None
         if order is None:
             order = np.argsort(col, kind="stable")
         out[:] = rows[order]
-    return orders
+    return orders, untied
 
 
 # Feature x row cells partitioned per chunk by ``split_orders``. A chunk's

@@ -39,7 +39,7 @@ from sptlab.teacher import RevenueMatrix, probability_matrix, revenue_matrix
 def test_filtered_global_order_equals_node_argsort(n, d, levels, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, d)).astype(np.float64)  # many ties
-    orders = presort(X.T, np.arange(n))
+    orders, _ = presort(X.T, np.arange(n))
     rows = np.flatnonzero(rng.random(n) < 0.5)  # sorted, as growers keep them
     is_node = np.zeros(n, dtype=bool)
     is_node[rows] = True
@@ -61,7 +61,7 @@ def test_split_orders_match_children_presort(n, d, p_left, keep, cells, seed):
     X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
     rows = np.flatnonzero(rng.random(n) < 0.7)
     go_left = rng.random(rows.size) < p_left
-    orders = presort(X.T, rows)
+    orders, _ = presort(X.T, rows)
     with mock.patch.object(tree, "_PARTITION_CELLS", cells):
         got = split_orders(orders, rows[go_left], n, keep)
     for child, flag, child_rows, cols in zip(
@@ -70,14 +70,14 @@ def test_split_orders_match_children_presort(n, d, p_left, keep, cells, seed):
         if not flag:
             assert child is None
             continue
-        np.testing.assert_array_equal(child, presort(X.T, child_rows))
+        np.testing.assert_array_equal(child, presort(X.T, child_rows)[0])
         assert child.base is orders  # a view
         np.testing.assert_array_equal(orders[:, cols], child)
 
 
 def test_split_orders_keeping_neither_child_leaves_the_orders():
     X = np.asarray([[2.0], [0.0], [1.0]])
-    orders = presort(X.T, np.arange(3))
+    orders, _ = presort(X.T, np.arange(3))
     assert split_orders(orders, np.asarray([0]), 3, (False, False)) == (None, None)
     np.testing.assert_array_equal(orders, [[1, 2, 0]])
 
@@ -90,9 +90,9 @@ def test_shared_root_orders_are_unchanged_by_a_fit(monkeypatch, fit):
     made = []
 
     def spy(columns, rows):
-        orders = tree.presort(columns, rows)
+        orders, untied = tree.presort(columns, rows)
         made.append((orders, orders.copy()))
-        return orders
+        return orders, untied
 
     monkeypatch.setattr(module, "presort", spy)
     data, grid, _ = _world(4, 700, 2)
@@ -107,20 +107,68 @@ def test_shared_root_orders_are_unchanged_by_a_fit(monkeypatch, fit):
     np.testing.assert_array_equal(*made[0])
 
 
-@pytest.mark.parametrize("width", [1, 4, 9, 11, 18])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 9, 11, 18])
 @pytest.mark.parametrize("block_rows", [7, spt._BLOCK_ROWS])
 def test_blocked_node_sums_equal_one_sum(width, block_rows):
     """``node_sums`` adds block by block what ``stats[rows].sum(axis=0)``
     adds at once, bit for bit, across block boundaries."""
     rng = np.random.default_rng(width)
     n = 10000
-    crit = spt.StatsCriterion(rng.normal(size=(width, n))
-                              * 10.0 ** rng.integers(-3, 4, size=(width, n)))
+    crit = spt.StatsCriterion(spt.stat_pairs(
+        rng.normal(size=(width, n)) * 10.0 ** rng.integers(-3, 4, size=(width, n)),
+        n), width)
     for size in (0, 1, 7, 8, 4095, 4096, 4097, 8193, n):
         rows = np.sort(rng.choice(n, size, replace=False))
         with mock.patch.object(spt, "_BLOCK_ROWS", block_rows):
             got = crit.node_sums(rows)
-        assert got.tobytes() == crit.stats[rows].sum(axis=0).tobytes(), size
+        assert got.tobytes() == _stats(crit)[rows].sum(axis=0).tobytes(), size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 19), st.integers(1, 5000), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_complex_cumsum_of_pairs_equals_each_float_cumsum(width, n, p_zero,
+                                                          p_subnormal, seed):
+    """Every policy sweep and the GBT split search cumulate two statistics
+    per complex add; each lane must add the same numbers in the same order
+    as a float cumsum of its statistic alone. Zeros, subnormals and signed
+    magnitudes from 1e-300 to 1e300 (no overflow over 5000 rows), odd
+    widths included. Like ``test_sum_rows_pairwise_matches_numpy_row_sum``,
+    this says whether the invariant still holds if the numpy pin moves."""
+    rng = np.random.default_rng(seed)
+    stats = (rng.choice([-1.0, 1.0], (width, n))
+             * 10.0 ** rng.uniform(-300, 300, (width, n)))
+    kind = rng.random((width, n))
+    stats[kind < p_subnormal] = rng.integers(-2**40, 2**40, (width, n))[
+        kind < p_subnormal] * 5e-324
+    stats[kind < p_zero * p_subnormal] = 0.0
+    order = rng.permutation(n)  # the sweep cumulates a gathered block in place
+    cum = spt.stat_pairs(stats, n)[:, order]
+    np.cumsum(cum, axis=1, out=cum)
+    lanes = np.stack([cum.real, cum.imag], axis=1).reshape(-1, n)
+    for s in range(width):
+        assert lanes[s].tobytes() == np.cumsum(stats[s][order]).tobytes(), s
+
+
+def test_presort_flags_untied_columns():
+    """``untied`` is true exactly for a column whose values on the rows are
+    all distinct: distinct values, 2 and 100 levels, a tie the sample of
+    presort misses, and a tie only among rows the node does not hold."""
+    n = 1000
+    rng = np.random.default_rng(3)
+    rare = rng.permutation(n).astype(float)
+    rare[2] = rare[1]  # presort samples every 3rd value: both outside it
+    outside = rng.permutation(n).astype(float)
+    outside[5] = outside[4]  # tied only through row 5, left out below
+    X = np.column_stack([rng.random(n), rng.integers(0, 2, n).astype(float),
+                         rng.integers(0, 100, n).astype(float), rare, outside])
+    for rows in (np.arange(n), rng.permutation(np.delete(np.arange(n), 5)),
+                 np.arange(1, 3), np.arange(1)):
+        _, untied = presort(X.T, rows)
+        want = [np.unique(col).size == rows.size for col in X[rows].T]
+        np.testing.assert_array_equal(untied, want)
+    assert presort(X.T, np.arange(n))[1].tolist() == [True, False, False,
+                                                      False, False]
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +181,7 @@ def test_presort_equals_stable_argsort_on_both_paths(n, seed):
                          rng.random(n)])
     rows = rng.permutation(n)[:max(1, n // 2)]  # ties keep this order
     with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-        got = presort(X.T, rows)
+        got, _ = presort(X.T, rows)
     want = rows[np.argsort(X[rows], axis=0, kind="stable")].T
     np.testing.assert_array_equal(got, want)
     stable = [c for c in spy.call_args_list if c.kwargs.get("kind") == "stable"]
@@ -150,7 +198,7 @@ def test_presort_tie_outside_the_sample_falls_back_to_stable():
                          rng.integers(0, 5, n).astype(float)])
     rows = rng.permutation(n)
     with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-        got = presort(X.T, np.arange(n))
+        got, _ = presort(X.T, np.arange(n))
     want = np.argsort(X, axis=0, kind="stable").T
     np.testing.assert_array_equal(got, want)
     kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
@@ -158,16 +206,23 @@ def test_presort_tie_outside_the_sample_falls_back_to_stable():
     # the sample shows the tie, so stable only
     assert kinds == [None, None, "stable", "stable"]
     np.testing.assert_array_equal(
-        presort(X.T, rows), rows[np.argsort(X[rows], axis=0, kind="stable")].T)
+        presort(X.T, rows)[0], rows[np.argsort(X[rows], axis=0, kind="stable")].T)
 
 
 def test_presort_keeps_caller_row_order_for_ties():
     X = np.asarray([[1.0], [0.0], [1.0], [0.0]])
-    np.testing.assert_array_equal(presort(X.T, np.asarray([2, 3, 0, 1])),
+    np.testing.assert_array_equal(presort(X.T, np.asarray([2, 3, 0, 1]))[0],
                                   [[3, 1, 2, 0]])
 
 
 # --- per-node argsort reference growers ---------------------------------------
+
+def _stats(crit):
+    """The ``(n, width)`` float statistics that ``crit.pairs`` holds two to a
+    complex row: statistic s is lane ``s % 2`` of row ``s // 2``."""
+    lanes = np.stack([crit.pairs.real, crit.pairs.imag], axis=1)
+    return lanes.reshape(-1, crit.pairs.shape[1])[:crit.width].T
+
 
 def _ref_scores(crit, sums, counts):
     """Node scores from column sums and row counts, as each criterion read
@@ -196,7 +251,7 @@ def _ref_node_score(crit, sums, count):
 
 
 def _ref_best_split(features, rows, config, crit):
-    stats_rows = crit.stats[rows]
+    stats_rows = _stats(crit)[rows]
     node = _ref_node_score(crit, stats_rows.sum(axis=0), rows.size)
     best = None
     for j in range(features.shape[1]):
@@ -255,24 +310,30 @@ def _criterion(kind, X, rng):
        st.integers(1, 4), st.sampled_from([1, 3, 4096]),
        st.integers(0, 2**32 - 1))
 def test_sweep_matches_frozen_sweep(kind, n, levels, block_rows, seed):
+    """A tied column (integer levels) beside untied ones (distinct random
+    values, and their copy rounded to 2 decimals, tied once n grows)."""
     rng = np.random.default_rng(seed)
+    u = rng.random(n)
     X = np.column_stack([rng.integers(0, levels, n).astype(float),  # ties
-                         rng.random(n)])
+                         u, np.round(u, 2)])
     crit = _criterion(kind, X, rng)
     with mock.patch.object(spt, "_BLOCK_ROWS", block_rows):
         _check_sweeps(X, crit, rng)
 
 
 def _check_sweeps(X, crit, rng):
+    """Sweeps of every feature at nodes of several sizes in one workspace,
+    whose ``untied`` flags, like a grower's, are those of all the rows."""
     n = X.shape[0]
-    ws = SweepWorkspace(X, n, crit.stats.shape[1])  # one for every node below
+    ws = SweepWorkspace(X, n, crit.width)  # one for every node below
+    _, ws.untied = presort(X.T, np.arange(n))
     for size in (n, max(1, n // 3), n, max(2, (2 * n) // 3), 1):
         rows = np.sort(rng.choice(n, size=size, replace=False))
-        orders = presort(X.T, rows)
+        orders, _ = presort(X.T, rows)
         for j, order in enumerate(orders):
             for min_leaf in range(1, max(1, size // 2) + 1):
                 got = _sweep_feature(ws, j, order, crit, min_leaf)
-                want = _frozen_sweep(X[order, j], crit.stats, order, min_leaf,
+                want = _frozen_sweep(X[order, j], _stats(crit), order, min_leaf,
                                      lambda s, c: _ref_scores(crit, s, c))
                 assert got == want, (size, j, min_leaf)
 

@@ -159,31 +159,44 @@ def _ref_best_split(X, g, h, rows, orders, min_child, l2):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 50), st.integers(1, 5), st.integers(1, 4), st.booleans(),
-       st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from([1, 2, 3, 0]))
+       st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from([1, 2, 3, 0]),
+       st.booleans(), st.sampled_from([1.0, 0.0]))
 def test_best_split_matches_per_feature_reference(n_all, d, levels, copy, seed,
-                                                  child, per_chunk):
+                                                  child, per_chunk, mixed, l2):
     """Tie-heavy integer features (and, with ``copy``, a last feature equal
     to the first, so every gain ties across features), dyadic gradients that
     sum exactly, random row subsets, ``min_child`` at the ``2 * min_child``
-    edge and 1, 2, 3 or all features per chunk."""
+    edge and 1, 2, 3 or all features per chunk. With ``mixed`` every other
+    feature has distinct values, so a chunk mixes tied and untied columns;
+    the flags are those of all the rows, as a fit's are. With ``l2`` 0 the
+    rows with g = h = 0 make 0/0 gains, NaN: each drops only its own
+    feature, as in the per-feature search."""
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n_all, d)).astype(np.float64)
+    if mixed:
+        X[:, ::2] = rng.permutation(n_all * d).reshape(n_all, d)[:, ::2]
     if copy:
         X[:, -1] = X[:, 0]
     g = rng.integers(-4, 5, n_all) / 4.0
     h = rng.integers(1, 5, n_all) / 4.0
+    if l2 == 0.0:  # rows fitted exactly: the sums over a run of them are 0/0
+        g[rng.random(n_all) < 0.5] = 0.0
+        h[g == 0.0] = 0.0
     rows = np.flatnonzero(rng.random(n_all) < 0.7)
     n = rows.size
     min_child = (0, 1, n // 2, (n + 1) // 2, n // 2 + 1, 2)[child]
-    orders = presort(X.T, rows)
-    want = _ref_best_split(X, g, h, rows, orders, min_child, 1.0)
-    old = boosting._SPLIT_CELLS
-    boosting._SPLIT_CELLS = per_chunk * max(n, 1) if per_chunk else old
-    try:
-        got = boosting._best_split(X, g, h, orders, g[rows].sum(), h[rows].sum(),
-                                   min_child, 1.0)
-    finally:
-        boosting._SPLIT_CELLS = old
+    orders, _ = presort(X.T, rows)
+    _, untied = presort(X.T, np.arange(n_all))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _ref_best_split(X, g, h, rows, orders, min_child, l2)
+        old = boosting._SPLIT_CELLS
+        boosting._SPLIT_CELLS = per_chunk * max(n, 1) if per_chunk else old
+        try:
+            got = boosting._best_split(np.ascontiguousarray(X.T), g + 1j * h,
+                                       orders, untied, g[rows].sum(),
+                                       h[rows].sum(), min_child, l2)
+        finally:
+            boosting._SPLIT_CELLS = old
     assert got == want
 
 
@@ -193,10 +206,12 @@ def test_best_split_memory_is_bounded_by_the_chunk_cap():
     n, d = 6000, 41
     X = np.round(rng.normal(size=(n, d)), 2)
     g, h = rng.normal(size=n), rng.uniform(size=n)
-    orders = presort(X.T, np.arange(n))
+    columns, gh = np.ascontiguousarray(X.T), g + 1j * h
+    orders, untied = presort(columns, np.arange(n))
     tracemalloc.start()
     try:
-        got = boosting._best_split(X, g, h, orders, g.sum(), h.sum(), 20, 1.0)
+        got = boosting._best_split(columns, gh, orders, untied, g.sum(), h.sum(),
+                                   20, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
