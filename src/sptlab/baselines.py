@@ -235,12 +235,14 @@ class _EffectVarianceCriterion(StatsCriterion):
 
 def _group_means(y, w, rows):
     """(effect, treated_mean) on the given rows, or None if a group is empty."""
-    nt = w[rows].sum()
+    wr = w[rows]
+    nt = wr.sum()
     nc = rows.size - nt
     if nt < 1 or nc < 1:
         return None
-    mu1 = float(y[rows][w[rows] > 0.5].mean())
-    mu0 = float(y[rows][w[rows] <= 0.5].mean())
+    ys, treated = y[rows], wr > 0.5
+    mu1 = float(ys.compress(treated).mean())
+    mu0 = float(ys.compress(~treated).mean())
     return mu1 - mu0, mu1
 
 
@@ -262,8 +264,8 @@ def _fit_effect_tree(ws: SweepWorkspace, X, y, w, struct_rows, struct_orders,
         cand, left, right = got
         e_left = X[erows, cand.feature_index] <= cand.threshold
         return (cand.feature_index, cand.threshold,
-                (*left, erows[e_left], depth + 1, (eff, mu1)),
-                (*right, erows[~e_left], depth + 1, (eff, mu1)))
+                (*left, erows.compress(e_left), depth + 1, (eff, mu1)),
+                (*right, erows.compress(~e_left), depth + 1, (eff, mu1)))
 
     root = (struct_rows, struct_orders, est_rows, 0, root_est)
     return EffectTree(grow_preorder(root, visit), 0)

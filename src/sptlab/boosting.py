@@ -151,7 +151,7 @@ def _grow_tree(columns, g, h, root_orders, untied, max_leaves, min_child, l2):
         _, nid, j, thr = heapq.heappop(heap)
         rows = rows_of.pop(nid)
         go_left = columns[j][rows] <= thr
-        left, right = rows[go_left], rows[~go_left]
+        left, right = rows.compress(go_left), rows.compress(~go_left)
         n_leaves += 1
         # a child under 2 * min_child rows has no split candidate, and the
         # children of the split that reaches max_leaves are never split

@@ -17,11 +17,12 @@ every split partitions in place. Each criterion holds its per-row
 statistics two to a complex number, one contiguous complex row per pair of
 statistics (``stat_pairs``), so that one complex cumsum cumulates two
 statistics, each lane adding what a float cumsum of its statistic adds.
-Each fit owns one ``SweepWorkspace``: the fit's one column-major copy of
-the features, from which the orders are sorted too, the flags of its
-untied columns, and blocks sized for its largest node, in which the split
-sweep of every feature at every node gathers and cumulates its statistic
-pairs instead of allocating fresh arrays. Node sums and boundary scores
+Each fit owns one ``SweepWorkspace``: the fit's own C-order features read
+through their transpose, from which the orders are sorted too, the flags
+of its untied columns, a contiguous copy of each tied column (the only
+values the sweep gathers), and blocks sized for its largest node, in which
+the split sweep of every feature at every node gathers and cumulates its
+statistic pairs instead of allocating fresh arrays. Node sums and boundary scores
 are taken in blocks of rows, so no step holds a (rows x statistics) copy
 of a large node.
 """
@@ -211,10 +212,15 @@ class _RevenueCriterion(StatsCriterion):
 class SweepWorkspace:
     """The buffers of one fit's split search, reused at every node.
 
-    ``columns`` is the features in column-major order, so a node's values
-    of one feature are one contiguous gather, and ``untied`` flags the
+    ``columns`` is the fit's C-order float64 features read through their
+    transpose, one row per feature and no copy, and ``untied`` flags the
     columns without ties over the fit's rows (``presort``; all false until
-    the fit sets them). ``cum`` holds a complex ``(pairs, rows)`` block of
+    the fit sets them). Setting ``untied`` copies each tied column into a
+    contiguous vector of ``tied_columns``, which ``column`` returns: only a
+    tied column's values are gathered in the sweep, at every node, where a
+    strided gather from the row-major features made fits on features
+    rounded to 0.1 (n=50k, d=20) 1.1-2.1 times slower. An untied column is never copied, and
+    nothing is copied under the default flags. ``cum`` holds a complex ``(pairs, rows)`` block of
     statistic pairs for up to ``n_rows`` rows (the fit's largest node), and
     first a tied column's values; ``left`` and ``right`` hold one float
     ``(width, rows)`` block of boundaries and ``scores`` their scores. Each
@@ -222,9 +228,9 @@ class SweepWorkspace:
     """
 
     def __init__(self, features, n_rows: int, width: int):
-        self.columns = np.ascontiguousarray(np.asarray(features).T,
-                                            dtype=np.float64)
-        self.untied = np.zeros(self.columns.shape[0], dtype=bool)
+        self.columns = np.ascontiguousarray(features, dtype=np.float64).T
+        self._untied = np.zeros(self.columns.shape[0], dtype=bool)
+        self.tied_columns = {}  # made by the untied setter, none before
         self.width = width
         self.gaps = np.empty(n_rows, dtype=bool)
         self.cum = np.empty((width + 1) // 2 * n_rows, dtype=np.complex128)
@@ -233,6 +239,21 @@ class SweepWorkspace:
         self.left = np.empty(width * block)
         self.right = np.empty(width * block)
         self.total = np.empty((width, 1))
+
+    @property
+    def untied(self) -> np.ndarray:
+        return self._untied
+
+    @untied.setter
+    def untied(self, flags):
+        self._untied = np.asarray(flags, dtype=bool)
+        self.tied_columns = {int(j): np.ascontiguousarray(self.columns[j])
+                             for j in np.flatnonzero(~self._untied)}
+
+    def column(self, j: int) -> np.ndarray:
+        """Feature ``j``'s values: its contiguous copy if it is tied."""
+        got = self.tied_columns.get(j)
+        return self.columns[j] if got is None else got
 
     def block(self, buf, rows: int, height=None):
         """The contiguous ``(height, rows)`` block at the start of ``buf``,
@@ -265,7 +286,7 @@ def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
         # the values serve only to find the gaps, so they may sit in ``ws.cum``
         # until the pairs overwrite them; mode="clip": in the default mode
         # take fills ``out`` through a temporary
-        xs = np.take(ws.columns[j], order, out=ws.cum.view(np.float64)[:n],
+        xs = np.take(ws.column(j), order, out=ws.cum.view(np.float64)[:n],
                      mode="clip")
         gaps = np.less(xs[lo:hi + 1], xs[lo + 1:hi + 2], out=ws.gaps[:k])
         k = int(np.count_nonzero(gaps))
@@ -324,8 +345,8 @@ def split_node(ws: SweepWorkspace, rows, orders, depth: int,
     cand = best_split_generic(ws, rows, orders, config, crit)
     if cand is None:
         return None
-    go_left = ws.columns[cand.feature_index][rows] <= cand.threshold
-    left, right = rows[go_left], rows[~go_left]
+    go_left = ws.column(cand.feature_index)[rows] <= cand.threshold
+    left, right = rows.compress(go_left), rows.compress(~go_left)
     keep = (config.can_split(depth + 1, left.size),
             config.can_split(depth + 1, right.size))
     left_orders, right_orders = split_orders(orders, left, ws.columns.shape[1],

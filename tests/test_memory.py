@@ -1,26 +1,32 @@
 """Peak memory of the policy-tree fits, of the constant-price comparator, of
-sample generation and of loading a dataset CSV, traced by tracemalloc on the
-d=20 world.
+sample generation and of writing and loading a dataset CSV, traced by
+tracemalloc on the d=20 world.
 
-A fit holds one column-major copy of its features, one order buffer of the
-same size (an int64 per feature and row) that its splits partition in
-place, the criterion's per-row statistics and the sweep's block of them.
-The bound allows one more copy of the features and of the statistics for
-the row index arrays and block-sized buffers; a second order matrix per
-split or a second copy of the features breaks it.
+A fit reads its features through the transpose of the caller's C-order
+array, with no copy, and copies only its tied columns. It holds one order
+buffer the size of the features (an int64 per feature and row) that its
+splits partition in place, the criterion's per-row statistics and the
+sweep's block of them. The first bound allows one more copy of the
+features and of the statistics for the row index arrays and block-sized
+buffers; a second order matrix per split or a second copy of the features
+breaks it. The second allows the order buffer, one copy of the statistics
+and of the features beside it and 64 bytes a row, which a column-major
+copy of all the features beside the order buffer breaks.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sptlab import rng
 from sptlab.baselines import (constant_price_policy, fit_ct_one_vs_all,
                               fit_naive_distill, fit_pt)
 from sptlab.dataset import load_csv, percentile_grid, write_csv
-from sptlab.spt import FitConfig, fit_spt
+from sptlab.spt import FitConfig, SweepWorkspace, fit_spt
 from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import probability_matrix, revenue_matrix
+from sptlab.tree import presort
 
 N = 20000
 
@@ -56,6 +62,52 @@ def test_fit_peak_holds_one_copy_of_each_input(world, method):
     }[method]
     features, stats = data.features.nbytes, 8 * rows * width
     assert _peak(fit) <= 3 * features + 3 * stats
+
+
+def _fit_case(world, method):
+    """(fit, rows, statistics per row) of a depth-3 fit of ``method``."""
+    data, grid, probs, revmat = world
+    config = FitConfig(max_depth=3)
+    return {
+        "spt": (lambda: fit_spt(data.features, revmat, config), N, grid.m),
+        "pt": (lambda: fit_pt(data, grid, config), N, 2 * grid.m),
+        "naive": (lambda: fit_naive_distill(data.features, probs, grid, config),
+                  N, grid.m + 2),
+        "ct": (lambda: fit_ct_one_vs_all(data, grid, config, 0), N // 2, 4),
+    }[method]
+
+
+@pytest.mark.parametrize("method", ["spt", "pt", "naive", "ct"])
+def test_fit_peak_makes_no_copy_of_the_features(world, method):
+    """A fit that copies its (n, d) features into a column-major block
+    (3.2 MB at N=20000) breaks this bound for every method."""
+    fit, rows, width = _fit_case(world, method)
+    features, stats = world[0].features.nbytes, 8 * rows * width
+    assert _peak(fit) <= 2 * features + 2 * stats + 64 * rows
+
+
+def test_workspace_copies_only_the_tied_columns():
+    """The workspace reads C-order features in place; setting its ``untied``
+    flags copies each tied column into a contiguous vector, and nothing is
+    copied before."""
+    rng = np.random.default_rng(0)
+    X = rng.random((500, 6))
+    X[:, [1, 4]] = np.round(X[:, [1, 4]], 1)  # ten levels: tied columns
+    ws = SweepWorkspace(X, X.shape[0], 3)
+    assert np.shares_memory(ws.columns, X)
+    assert ws.tied_columns == {}
+    _, ws.untied = presort(ws.columns, np.arange(X.shape[0]))
+    assert list(np.flatnonzero(~ws.untied)) == [1, 4]
+    assert sorted(ws.tied_columns) == [1, 4]
+    for j, column in ws.tied_columns.items():
+        assert column.flags.c_contiguous and not np.shares_memory(column, X)
+        np.testing.assert_array_equal(column, X[:, j])
+
+
+def test_write_csv_peak_is_a_block_of_rows(tmp_path):
+    """At 50k rows and d=20, formatting 8192 rows at once took 12.9 MB."""
+    data = generate(make_spec(2), 50000, 0)
+    assert _peak(lambda: write_csv(data, tmp_path / "data.csv")) <= 4 * 2**20
 
 
 def test_generate_peak_is_the_sample_and_a_block_of_draws():

@@ -16,7 +16,7 @@ from sptlab.spt import (FitConfig, LeafNode, PolicyTree, export_tree, fit_spt,
                         tree_from_json)
 from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import probability_matrix, revenue_matrix
-from sptlab.tree import SplitNode, apply, check_structure
+from sptlab.tree import SplitNode, apply, check_structure, grid_leaf_values
 
 
 def _reference_leaf(nodes, root, x):
@@ -78,6 +78,100 @@ def test_apply_matches_per_row_walk(n_splits, d, n_rows, seed):
     np.testing.assert_array_equal(
         boosting.Tree(gbt).predict(X),
         [gbt[_reference_leaf(gbt, 0, x)].value for x in X])
+
+
+def _mask_apply(nodes, root, X):
+    """``apply`` as it was written with boolean-mask row selection."""
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        nid, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        node = nodes[nid]
+        if not isinstance(node, SplitNode):
+            out[idx] = nid
+            continue
+        go_left = X[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[go_left]))
+        stack.append((node.right, idx[~go_left]))
+    return out
+
+
+def _mask_grid_leaf_values(nodes, root, X, prices, field):
+    """``grid_leaf_values`` as it was written with boolean-mask selection."""
+    d = X.shape[1]
+    out = np.empty((prices.size, X.shape[0]))
+    stack = [(root, 0, prices.size, np.arange(X.shape[0]))]
+    while stack:
+        nid, a, b, idx = stack.pop()
+        if a == b or idx.size == 0:
+            continue
+        node = nodes[nid]
+        if not isinstance(node, SplitNode):
+            out[a:b, idx] = getattr(node, field)
+        elif node.feature == d:
+            cut = a + int(np.searchsorted(prices[a:b], node.threshold, side="right"))
+            stack.append((node.left, a, cut, idx))
+            stack.append((node.right, cut, b, idx))
+        else:
+            go_left = X[idx, node.feature] <= node.threshold
+            stack.append((node.left, a, b, idx[go_left]))
+            stack.append((node.right, a, b, idx[~go_left]))
+    return out
+
+
+# Feature values lie in [-1, 1]; a threshold of -3 sends every row right and
+# one of 3 every row left, so masks that select all rows or none are drawn.
+_THRESHOLDS = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def _mask_trees(draw):
+    """(nodes, X, prices): a proper binary tree in preorder over the d
+    features of X and the price as feature d, its leaves ``ValueLeaf``s."""
+    d = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 30))
+    X = np.asarray(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                                 min_size=n_rows * d, max_size=n_rows * d)),
+                   dtype=np.float64).reshape(n_rows, d)
+    prices = np.unique(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                                     min_size=1, max_size=5)))
+    nodes = []
+
+    def build(budget):
+        nid = len(nodes)
+        if budget == 0:
+            nodes.append(boosting.ValueLeaf(float(nid) / 7))
+            return nid
+        nodes.append(None)
+        feature = draw(st.integers(0, d))
+        threshold = draw(_THRESHOLDS)
+        left_budget = draw(st.integers(0, budget - 1))
+        left = build(left_budget)
+        right = build(budget - 1 - left_budget)
+        nodes[nid] = SplitNode(feature, threshold, left, right)
+        return nid
+
+    build(draw(st.integers(0, 8)))
+    return nodes, X, prices
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mask_trees())
+def test_routing_matches_boolean_mask_reference(tree_case):
+    """``apply`` and ``grid_leaf_values`` select each child's rows with
+    ``compress``; they equal the boolean-mask routing bit for bit, also when
+    a split sends every row, or none, to one side."""
+    nodes, X, prices = tree_case
+    # apply routes on the d features and the price column as feature d
+    Xp = np.column_stack([X, np.full(X.shape[0], prices[0])])
+    got = apply(nodes, 0, Xp)
+    assert got.dtype == np.int64
+    assert got.tobytes() == _mask_apply(nodes, 0, Xp).tobytes()
+    got = grid_leaf_values(nodes, 0, X, prices, "value")
+    want = _mask_grid_leaf_values(nodes, 0, X, prices, "value")
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_check_structure_returns_depth():
