@@ -4,8 +4,11 @@ and the retail price-imputation / store-filtering preprocessing rules."""
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import itertools
 import math
+import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -20,16 +23,22 @@ class DataError(ValueError):
 
 
 @contextmanager
-def open_text(path, newline=""):
-    """``open(path)`` for reading UTF-8 text (CSV by default: ``newline=""``).
-    A byte that is not UTF-8, or a CSV syntax error such as an open quote
-    that runs past the csv module's field size limit, raised while the file
-    is read raises a DataError naming the path."""
+def _text_errors(path):
+    """A byte that is not UTF-8, or a CSV syntax error such as an open quote
+    that runs past the csv module's field size limit, raised in the block
+    raises a DataError naming the path."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as f:
-            yield f
+        yield
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def open_text(path, newline=""):
+    """``open(path)`` for reading UTF-8 text (CSV by default: ``newline=""``),
+    with the DataErrors of ``_text_errors`` while the file is read."""
+    with _text_errors(path), open(path, "r", encoding="utf-8", newline=newline) as f:
+        yield f
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -145,35 +154,84 @@ class SaleHistory:
         return self.timestamps.size
 
 
+# Bytes the bulk parse of load_csv decodes at a time, against TextIOWrapper's
+# 8192
+_BULK_CHUNK = 1 << 16
+
+# The last Dataset that load_csv parsed, as (size, sha256 digest of the bytes
+# it parsed, Dataset), or None: at most one entry, so at most one parse is
+# kept alive.
+_last = None
+
+
 def load_csv(path) -> Dataset:
     """Load a dataset from CSV with reserved columns `price` and `sold`.
 
     Every other column is a numeric feature; file column order is preserved.
+
+    A process parses a given file content once: the last Dataset read is
+    kept, keyed by the sha256 of the bytes it was parsed from, and returned
+    again (the same object) while a file holds those bytes, whatever its
+    path. A file of that size is hashed to check; any other read drops the
+    entry before it parses, and a file that fails to load is never kept. So
+    the last Dataset read stays alive until a different file is read.
     """
-    with open_text(path) as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        repeated = [h for h, count in Counter(header).items() if count > 1]
-        if repeated:
-            raise DataError(f"{path}: column {repeated[0]!r} appears more than "
-                            f"once in the header")
-        if "price" not in header:
-            raise DataError(f"{path}: missing required column 'price'")
-        if "sold" not in header:
-            raise DataError(f"{path}: missing required column 'sold'")
-        price_col = header.index("price")
-        sold_col = header.index("sold")
-        feat_cols = [i for i in range(len(header)) if i not in (price_col, sold_col)]
+    global _last
+    with open(path, "rb") as f:
+        entry, _last = _last, None
+        if entry is not None and os.fstat(f.fileno()).st_size == entry[0]:
+            if hashlib.file_digest(f, "sha256").digest() == entry[1]:
+                _last = entry
+                return entry[2]
+            f.seek(0)
+        del entry
+        # the bulk parse; if some cell is bad, the row-by-row one names it
+        for checked in (False, True):
+            hashed = _HashingReader(f)
+            with _text_errors(path):
+                text = io.TextIOWrapper(hashed, encoding="utf-8", newline="")
+                data = _parse_csv(path, text, checked)
+            if data is not None:
+                break
+            f.seek(0)
+    _last = (hashed.size, hashed.sha256.digest(), data)
+    return data
+
+
+def _parse_csv(path, f, checked: bool) -> Dataset | None:
+    """The Dataset in the CSV text ``f``. A bad header raises a DataError.
+    With ``checked`` rows are parsed one by one and a bad cell raises a
+    DataError naming it; without, a bad cell returns None."""
+    reader = csv.reader(f)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    repeated = [h for h, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than "
+                        f"once in the header")
+    if "price" not in header:
+        raise DataError(f"{path}: missing required column 'price'")
+    if "sold" not in header:
+        raise DataError(f"{path}: missing required column 'sold'")
+    price_col = header.index("price")
+    sold_col = header.index("sold")
+    feat_cols = [i for i in range(len(header)) if i not in (price_col, sold_col)]
+    if checked:
+        table = _checked_cells(path, header, sold_col, reader)
+    else:
+        # Past the header the bulk parse decodes larger chunks, which saves
+        # more than the hash costs. A decode error then names a position in
+        # another chunk, but as a ValueError it falls to the checked parse,
+        # which reads the chunks that open(path) reads and names the byte
+        # just as it did.
+        f._CHUNK_SIZE = _BULK_CHUNK
         try:
             table = _bulk_cells(reader, len(header))
         except ValueError:
-            table = None
-    if table is None:  # some cell is bad: name the first one
-        table = _checked_cells(path, header, sold_col)
+            return None
 
     if table.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
@@ -184,8 +242,29 @@ def load_csv(path) -> Dataset:
         return Dataset(_freeze(table.take(feat_cols, axis=1)), table[:, price_col],
                        table[:, sold_col], names)
     except DataError:  # a non-finite feature or price, or 'sold' not 0 or 1
-        _checked_cells(path, header, sold_col)  # raises, naming the first one
-        raise
+        if checked:
+            raise
+        return None
+
+
+class _HashingReader(io.BufferedIOBase):
+    """A binary file for a TextIOWrapper that hashes each chunk it passes
+    on, so ``size`` and ``sha256`` are of the very bytes a parse read. It
+    reads the chunk sizes the wrapper asks for, as ``open(path)`` does."""
+
+    def __init__(self, f):
+        self._f = f
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def readable(self):
+        return True
+
+    def read1(self, n=-1):
+        chunk = self._f.read1(n)
+        self.sha256.update(chunk)
+        self.size += len(chunk)
+        return chunk
 
 
 def _bulk_cells(reader, width: int) -> np.ndarray:
@@ -201,33 +280,30 @@ def _bulk_cells(reader, width: int) -> np.ndarray:
     return cells.reshape(-1, width)
 
 
-def _checked_cells(path, header, sold_col: int) -> np.ndarray:
-    """Row-by-row pass of load_csv: a DataError naming the line and column
-    of the first bad cell (ragged row, non-numeric or non-finite value,
-    'sold' outside {0, 1}) in file order."""
-    with open_text(path) as f:
-        reader = csv.reader(f)
-        next(reader)
-        table = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
-            vals = []
-            for i, cell in enumerate(row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{line_no}: non-numeric value {cell!r} in column '{header[i]}'"
-                    ) from None
-                if i != sold_col and not math.isfinite(vals[-1]):
-                    raise DataError(
-                        f"{path}:{line_no}: non-finite value {cell!r} in column '{header[i]}'")
-            if vals[sold_col] not in (0.0, 1.0):
+def _checked_cells(path, header, sold_col: int, reader) -> np.ndarray:
+    """The remaining rows of ``reader``, one by one: a DataError naming the
+    line and column of the first bad cell (ragged row, non-numeric or
+    non-finite value, 'sold' outside {0, 1}) in file order."""
+    table = []
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
+        vals = []
+        for i, cell in enumerate(row):
+            try:
+                vals.append(float(cell))
+            except ValueError:
                 raise DataError(
-                    f"{path}:{line_no}: 'sold' must be 0 or 1, got {row[sold_col]!r}"
-                )
-            table.append(vals)
+                    f"{path}:{line_no}: non-numeric value {cell!r} in column '{header[i]}'"
+                ) from None
+            if i != sold_col and not math.isfinite(vals[-1]):
+                raise DataError(
+                    f"{path}:{line_no}: non-finite value {cell!r} in column '{header[i]}'")
+        if vals[sold_col] not in (0.0, 1.0):
+            raise DataError(
+                f"{path}:{line_no}: 'sold' must be 0 or 1, got {row[sold_col]!r}"
+            )
+        table.append(vals)
     return np.asarray(table, dtype=np.float64).reshape(len(table), len(header))
 
 

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sptlab.dataset as dataset
 from sptlab.baselines import export_one_vs_all, fit_ct_one_vs_all
 from sptlab.cli import build_parser, main
 from sptlab.dataset import Dataset, PriceGrid, load_csv, percentile_grid
@@ -639,6 +643,53 @@ def test_fit_writes_the_policy_the_sweep_fits(tmp_path, method):
     text = (export_one_vs_all(policy) if method == "ct"
             else export_tree(policy, "json"))
     assert got == json.loads(text)
+
+
+def test_cached_reads_give_the_outputs_of_one_process_per_command(tmp_path, monkeypatch,
+                                                                  capsys):
+    """In one process the second fit and every evaluate after the first
+    read a cached Dataset; one process per command parses every read. The
+    policy files and printed revenues are the same."""
+    cmds = [["synth", "--spec", "2", "--n", "400", "--seed", "0", "--out", "train.csv"],
+            ["synth", "--spec", "2", "--n", "200", "--seed", "1", "--out", "test.csv"]]
+    for m in ("spt", "ct"):
+        cmds.append(["fit", "--data", "train.csv", "--method", m, "--depth", "3",
+                     "--teacher", "oracle:2", "--seed", "0", "--out", f"{m}.json"])
+    evaluate = [["evaluate", "--tree", f"{m}.json", "--data", "test.csv",
+                 "--truth", "oracle:2", "--seed", "0"] for m in ("spt", "ct")]
+
+    def outputs(workdir, printed):
+        return ([(workdir / f"{m}.json").read_bytes() for m in ("spt", "ct")], printed)
+
+    cached = tmp_path / "cached"
+    cached.mkdir()
+    monkeypatch.chdir(cached)
+    monkeypatch.setattr(dataset, "_last", None)
+    parses = []
+    parse = dataset._parse_csv
+    monkeypatch.setattr(dataset, "_parse_csv",
+                        lambda path, f, checked: parses.append(path) or parse(path, f, checked))
+    printed = []
+    for argv in cmds + evaluate + evaluate:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "evaluate":
+            printed.append(out)
+    assert parses == ["train.csv", "test.csv"]
+    in_process = outputs(cached, printed)
+
+    separate = tmp_path / "separate"
+    separate.mkdir()
+    src = str(Path(dataset.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    printed = []
+    for argv in cmds + evaluate:
+        run = subprocess.run([sys.executable, "-m", "sptlab.cli", *argv], cwd=separate,
+                             env=env, check=True, capture_output=True, text=True)
+        if argv[0] == "evaluate":
+            printed.append(run.stdout)
+    assert in_process == outputs(separate, printed * 2)
 
 
 def test_fit_method_choices_are_the_fitted_policies():

@@ -1,10 +1,15 @@
+import gc
 import math
+import os
+import shutil
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sptlab.dataset as dataset
 import sptlab.synth as synth
 from sptlab.dataset import (DataError, Dataset, SaleHistory, explicit_grid,
                             filter_stores_min_sales, impute_last_at_store,
@@ -172,6 +177,100 @@ def test_load_csv_repeated_column_is_an_error(tmp_path):
     f.write_text("x0, price,sold,price\n1.0,5.0,1,6.0\n")  # names are stripped
     with pytest.raises(DataError, match="column 'price' appears more than once"):
         load_csv(f)
+
+
+# --- load_csv's one-entry cache ----------------------------------------------
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Start from an empty cache and count load_csv's parses of a file."""
+    monkeypatch.setattr(dataset, "_last", None)
+    calls = []
+    parse = dataset._parse_csv
+
+    def spy(path, f, checked):
+        calls.append(str(path))
+        return parse(path, f, checked)
+
+    monkeypatch.setattr(dataset, "_parse_csv", spy)
+    return calls
+
+
+def test_load_csv_of_unchanged_bytes_returns_the_same_dataset_unparsed(tmp_path, parses):
+    f = tmp_path / "d.csv"
+    f.write_text("x0,price,sold\n1.0,5.0,1\n2.0,4.0,0\n")
+    first = load_csv(f)
+    assert parses == [str(f)]
+    assert load_csv(f) is first
+    assert load_csv(str(f)) is first
+    assert parses == [str(f)]
+
+
+def test_load_csv_reparses_a_same_size_rewrite_with_its_old_mtime(tmp_path, parses):
+    f = tmp_path / "d.csv"
+    f.write_text("x0,price,sold\n1.0,5.0,1\n2.0,4.0,0\n")
+    first = load_csv(f)
+    stat = os.stat(f)
+    f.write_text("x0,price,sold\n3.0,6.0,0\n2.0,4.0,1\n")
+    os.utime(f, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(f).st_size == stat.st_size
+    second = load_csv(f)
+    assert len(parses) == 2 and second is not first
+    np.testing.assert_array_equal(second.features.ravel(), [3.0, 2.0])
+    np.testing.assert_array_equal(second.prices, [6.0, 4.0])
+    np.testing.assert_array_equal(second.outcomes, [0, 1])
+
+
+def test_load_csv_bad_rewrite_after_a_good_load_is_the_fresh_error(tmp_path, monkeypatch):
+    f = tmp_path / "d.csv"
+    f.write_text("x0,price,sold\n1.0,5.0,1\n2.0,4.0,0\n")
+    load_csv(f)
+    f.write_text("x0,price,sold\n1.0,5.0,1\n2.0,4.0,7\n")  # the same size
+    with pytest.raises(DataError) as after_good:
+        load_csv(f)
+    monkeypatch.setattr(dataset, "_last", None)  # as in a fresh process
+    with pytest.raises(DataError) as fresh:
+        load_csv(f)
+    assert str(after_good.value) == str(fresh.value) == f"{f}:3: 'sold' must be 0 or 1, got '7'"
+    assert dataset._last is None  # a file that fails is never kept
+
+
+def test_load_csv_cache_is_keyed_by_content_not_path(tmp_path, parses):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x0,price,sold\n1.0,5.0,1\n2.0,4.0,0\n")
+    shutil.copyfile(a, b)
+    first = load_csv(a)
+    assert load_csv(b) is first
+    assert parses == [str(a)]
+
+
+def test_load_csv_keeps_only_the_last_dataset(tmp_path, parses):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x0,price,sold\n1.0,5.0,1\n2.0,4.0,0\n")
+    b.write_text("x0,price,sold\n1.0,5.0,1\n")
+    first = weakref.ref(load_csv(a))
+    gc.collect()
+    assert first() is not None  # the cache holds it
+    load_csv(b)
+    gc.collect()
+    assert first() is None
+    load_csv(a)
+    assert parses == [str(a), str(b), str(a)]
+
+
+def test_load_csv_missing_path_and_directory_raise_the_open_error(tmp_path):
+    good = tmp_path / "d.csv"
+    good.write_text("x0,price,sold\n1.0,5.0,1\n")
+    load_csv(good)  # a cached entry changes no error
+    for path, errno in ((tmp_path / "nope.csv", 2), (tmp_path, 21)):
+        with pytest.raises(OSError) as got:
+            load_csv(path)
+        with pytest.raises(OSError) as want:
+            open(path, encoding="utf-8")
+        assert got.value.errno == errno
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"[Errno {errno}] ")
 
 
 # --- split_halves -----------------------------------------------------------

@@ -131,3 +131,15 @@ def test_load_csv_peak_is_the_table_and_one_copy_of_its_features(world, tmp_path
     write_csv(data, path)
     peak = _peak(lambda: load_csv(path))
     assert peak <= 8 * N * (data.d + 2) + data.features.nbytes + 64 * N
+
+
+def test_load_csv_of_unchanged_bytes_holds_under_a_mebibyte(world, tmp_path):
+    """A second read of the same bytes hashes the file and returns the
+    Dataset it parsed before: no table, no features."""
+    path = tmp_path / "data.csv"
+    write_csv(world[0], path)
+    first = load_csv(path)
+    loaded = []
+    peak = _peak(lambda: loaded.append(load_csv(path)))
+    assert loaded[0] is first
+    assert peak < 1 << 20
