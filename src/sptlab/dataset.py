@@ -154,10 +154,6 @@ class SaleHistory:
         return self.timestamps.size
 
 
-# Bytes the bulk parse of load_csv decodes at a time, against TextIOWrapper's
-# 8192
-_BULK_CHUNK = 1 << 16
-
 # The last Dataset that load_csv parsed, as (size, sha256 digest of the bytes
 # it parsed, Dataset), or None: at most one entry, so at most one parse is
 # kept alive.
@@ -175,18 +171,23 @@ def load_csv(path) -> Dataset:
     path. A file of that size is hashed to check; any other read drops the
     entry before it parses, and a file that fails to load is never kept. So
     the last Dataset read stays alive until a different file is read.
+
+    A pipe cannot be read twice, so it is parsed once, row by row (slower,
+    but a bad cell is named), and never answered from the kept entry.
     """
     global _last
     with open(path, "rb") as f:
         entry, _last = _last, None
-        if entry is not None and os.fstat(f.fileno()).st_size == entry[0]:
-            if hashlib.file_digest(f, "sha256").digest() == entry[1]:
+        seekable = f.seekable()
+        if (entry is not None and seekable
+                and os.fstat(f.fileno()).st_size == entry[0]):
+            if _sha256(f) == entry[1]:
                 _last = entry
                 return entry[2]
             f.seek(0)
         del entry
         # the bulk parse; if some cell is bad, the row-by-row one names it
-        for checked in (False, True):
+        for checked in (False, True) if seekable else (True,):
             hashed = _HashingReader(f)
             with _text_errors(path):
                 text = io.TextIOWrapper(hashed, encoding="utf-8", newline="")
@@ -222,12 +223,6 @@ def _parse_csv(path, f, checked: bool) -> Dataset | None:
     if checked:
         table = _checked_cells(path, header, sold_col, reader)
     else:
-        # Past the header the bulk parse decodes larger chunks, which saves
-        # more than the hash costs. A decode error then names a position in
-        # another chunk, but as a ValueError it falls to the checked parse,
-        # which reads the chunks that open(path) reads and names the byte
-        # just as it did.
-        f._CHUNK_SIZE = _BULK_CHUNK
         try:
             table = _bulk_cells(reader, len(header))
         except ValueError:
@@ -245,6 +240,14 @@ def _parse_csv(path, f, checked: bool) -> Dataset | None:
         if checked:
             raise
         return None
+
+
+def _sha256(f) -> bytes:
+    """The sha256 digest of the rest of the binary file ``f``."""
+    sha256 = hashlib.sha256()
+    for chunk in iter(lambda: f.read(1 << 16), b""):
+        sha256.update(chunk)
+    return sha256.digest()
 
 
 class _HashingReader(io.BufferedIOBase):

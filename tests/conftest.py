@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sptlab.dataset as dataset
 from sptlab.dataset import Dataset, PriceGrid
 from sptlab.teacher import OracleTeacher, RevenueMatrix
 
@@ -12,6 +13,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def empty_load_csv_cache():
+    """Each test starts with load_csv's cache empty, so its first load of a
+    file parses it whatever ran before; none keeps a Dataset alive after."""
+    dataset._last = None
+    yield
+    dataset._last = None
 
 
 def toy_probability(X, p):

@@ -664,7 +664,6 @@ def test_cached_reads_give_the_outputs_of_one_process_per_command(tmp_path, monk
     cached = tmp_path / "cached"
     cached.mkdir()
     monkeypatch.chdir(cached)
-    monkeypatch.setattr(dataset, "_last", None)
     parses = []
     parse = dataset._parse_csv
     monkeypatch.setattr(dataset, "_parse_csv",

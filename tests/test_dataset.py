@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import shutil
+import threading
 import weakref
 
 import numpy as np
@@ -183,8 +184,7 @@ def test_load_csv_repeated_column_is_an_error(tmp_path):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """Start from an empty cache and count load_csv's parses of a file."""
-    monkeypatch.setattr(dataset, "_last", None)
+    """Count load_csv's parses of a file (the cache starts empty)."""
     calls = []
     parse = dataset._parse_csv
 
@@ -271,6 +271,36 @@ def test_load_csv_missing_path_and_directory_raise_the_open_error(tmp_path):
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"[Errno {errno}] ")
+
+
+def test_load_csv_of_a_pipe_loads_and_names_a_bad_cell(tmp_path):
+    """A pipe is read once, row by row: a good file loads as from a regular
+    file, and a bad cell gives the regular file's located DataError."""
+    good = "x0,price,sold\n1.0,5.0,1\n2.0,4.0,0\n"
+    bad = "x0,price,sold\n1.0,5.0,1\n2.0,4.0,7\n"
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+
+    def through_pipe(text):
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            return load_csv(fifo)
+        finally:
+            writer.join()
+
+    regular = tmp_path / "d.csv"
+    regular.write_text(good)
+    want = load_csv(regular)
+    got = through_pipe(good)
+    assert got is not want
+    np.testing.assert_array_equal(got.features, want.features)
+    np.testing.assert_array_equal(got.prices, want.prices)
+    np.testing.assert_array_equal(got.outcomes, want.outcomes)
+    assert got.feature_names == want.feature_names
+    with pytest.raises(DataError) as err:
+        through_pipe(bad)
+    assert str(err.value) == f"{fifo}:3: 'sold' must be 0 or 1, got '7'"
 
 
 # --- split_halves -----------------------------------------------------------
