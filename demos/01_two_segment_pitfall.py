@@ -24,15 +24,15 @@ grid = PriceGrid(np.asarray([10.0, 12.0]))
 revmat = RevenueMatrix(np.asarray([[10.0, 0.0], [10.0, 12.0]]), grid)
 
 single = fit_spt(X, revmat, FitConfig(max_depth=0))
-print(f"single-price prescriptive tree: price {single.predict_price([0.0]):g}, "
+print(f"single-price prescriptive tree: price {single.prescribe(X)[0]:g}, "
       f"expected revenue {expected_revenue(single, X, teacher):g}")
 
 opt_prices = grid.prices[np.argmax(revmat.values, axis=1)]
 regressed = single_leaf_tree(float(opt_prices.mean()))
-print(f"single-leaf price regression:   price {regressed.predict_price([0.0]):g}, "
+print(f"single-leaf price regression:   price {regressed.prescribe(X)[0]:g}, "
       f"expected revenue {expected_revenue(regressed, X, teacher):g}")
 
 segmented = fit_spt(X, revmat, FitConfig(max_depth=1))
-print(f"depth-1 prescriptive tree:      prices "
-      f"{segmented.predict_price([0.0]):g}/{segmented.predict_price([1.0]):g}, "
+low, high = segmented.prescribe(X)
+print(f"depth-1 prescriptive tree:      prices {low:g}/{high:g}, "
       f"expected revenue {expected_revenue(segmented, X, teacher):g}")

@@ -16,9 +16,8 @@ from .baselines import (OneVsAllPolicy, assign_treatments, constant_price_policy
                         fit_pt, historical_policy_revenue, naive_training_mse,
                         one_vs_all_from_json)
 from .synth import (SPEC_IDS, OraclePolicy, SyntheticSpec, fine_price_grid,
-                    generate, make_spec, oracle_optimal, oracle_optimal_batch,
-                    oracle_teacher, standard_normal_cdf, true_probability,
-                    true_probability_batch)
+                    generate, make_spec, oracle_optimal_batch, oracle_teacher,
+                    standard_normal_cdf, true_probability_batch)
 from .evaluation import (RegretBoundParams, RegretCheck, expected_revenue,
                          hypercube_policy, policy_mse, regret_bound,
                          verify_regret_bound)

@@ -197,9 +197,6 @@ class EffectTree:
     def treated_means(self, X: np.ndarray) -> np.ndarray:
         return leaf_values(self.nodes, self.root, X, "treated_mean")
 
-    def effects(self, X: np.ndarray) -> np.ndarray:
-        return leaf_values(self.nodes, self.root, X, "effect")
-
 
 class _EffectVarianceCriterion(StatsCriterion):
     """Split score: sum over children of n * (effect estimate)^2, the greedy
@@ -284,9 +281,6 @@ class OneVsAllPolicy:
         mu1 = np.column_stack([t.treated_means(X) for t in self.trees])
         scores = self.grid.prices[None, :] * mu1
         return self.grid.prices[np.argmax(scores, axis=1)]  # ties: lowest price
-
-    def predict_price(self, x) -> float:
-        return float(self.prescribe(np.atleast_2d(x))[0])
 
     @property
     def n_leaves(self) -> float:

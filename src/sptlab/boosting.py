@@ -17,9 +17,10 @@ G_L^2/(H_L + l2) + G_R^2/(H_R + l2) - G^2/(H + l2).
 
 Predictions are sigmoid(base_score + learning_rate * sum_t tree_t(x)), so
 the ensemble is prefix-stable: adding rounds never changes earlier trees.
-Predictions over a price grid (``BoostedTrees.predict_proba_grid``) route
-each row down each tree once per range of prices, not once per price, and
-add the same numbers in the same order as a per-price prediction.
+Given a price grid, a prediction is made for each row of X with each grid
+price appended as the last feature: each tree routes a row once per range
+of prices, not once per price (``sptlab.tree.walk``), and each entry adds
+the same numbers in the same order as a prediction at its one price.
 Training is fully deterministic (no subsampling), ties in split search
 resolve to the lowest feature index then lowest threshold.
 """
@@ -33,8 +34,8 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import DataError, open_text
-from .tree import (SplitNode, check_structure, grid_leaf_values, leaf_values,
-                   place_node, presort, split_orders)
+from .tree import (SplitNode, check_structure, leaf_values, place_node,
+                   presort, split_orders)
 
 _EPS_GAIN = 1e-12
 
@@ -50,8 +51,10 @@ class Tree:
 
     nodes: list
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return leaf_values(self.nodes, 0, X, "value")
+    def predict(self, X: np.ndarray, prices=None) -> np.ndarray:
+        """Leaf value per row of X; with ascending ``prices``, the (m, n)
+        values of ``tree.leaf_values`` over the price grid."""
+        return leaf_values(self.nodes, 0, X, "value", prices)
 
 
 # Feature x row cells per chunk of the whole-node split search. A node with
@@ -175,29 +178,21 @@ class BoostedTrees:
     n_features: int
     trees: list[Tree] = field(default_factory=list)
 
-    def predict_margin(self, X: np.ndarray, n_trees: int | None = None) -> np.ndarray:
+    def predict_margin(self, X: np.ndarray, prices=None) -> np.ndarray:
+        """Margin per row of X; with ascending ``prices``, the (m, n) margins
+        whose [k, i] is the margin of row i of X with ``prices[k]`` appended
+        as the last feature, adding the same numbers in the same order."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        margin = np.full(X.shape[0], self.base_score)
-        for tree in self.trees[:n_trees]:
-            margin += self.learning_rate * tree.predict(X)
+        shape = X.shape[0] if prices is None else (len(prices), X.shape[0])
+        margin = np.full(shape, self.base_score)
+        for tree in self.trees:
+            values = tree.predict(X, prices)
+            values *= self.learning_rate  # in place: no second (m, n) block
+            margin += values
         return margin
 
-    def predict_proba(self, X: np.ndarray, n_trees: int | None = None) -> np.ndarray:
-        return expit(self.predict_margin(X, n_trees))
-
-    def predict_proba_grid(self, X: np.ndarray, prices) -> np.ndarray:
-        """(m, n) probabilities: [k, i] is ``predict_proba`` of row i of X with
-        the ascending ``prices[k]`` appended as the last feature. Each tree
-        fills an (m, n) block of leaf values (``tree.grid_leaf_values``) that
-        is scaled and added to the margin in tree order, so each entry adds
-        the same numbers in the same order as ``predict_margin``."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        margin = np.full((len(prices), X.shape[0]), self.base_score)
-        for tree in self.trees:
-            vals = grid_leaf_values(tree.nodes, 0, X, prices, "value")
-            vals *= self.learning_rate
-            margin += vals
-        return expit(margin)
+    def predict_proba(self, X: np.ndarray, prices=None) -> np.ndarray:
+        return expit(self.predict_margin(X, prices))
 
 
 def fit_boosted_trees(X, y, rounds=50, learning_rate=0.1, max_leaves=31,

@@ -12,8 +12,8 @@ from importlib import resources
 import numpy as np
 
 from . import baselines, synth
-from .dataset import (Dataset, PriceGrid, open_text, percentile_grid,
-                      split_halves)
+from .dataset import (DataError, Dataset, PriceGrid, open_text,
+                      percentile_grid, split_halves)
 from .evaluation import expected_revenue
 from .rng import derive_seed
 from .spt import FitConfig, fit_spt
@@ -28,6 +28,7 @@ FITTED_POLICIES = ("spt", "pt", "ct", "naive", "const")
 TEACHER_POLICIES = ("spt", "naive", "const")
 RESULT_COLUMNS = ("spec", "policy", "depth", "minsplit", "n_train", "seed",
                   "mean_revenue", "n_leaves")
+_RESULT_KINDS = (int, str, int, int, int, int, float, float)
 
 # Salts for per-cell derived seeds (documented; see rng module).
 _SALT_TEST = 1
@@ -337,13 +338,25 @@ def write_results_csv(rows: list[dict], path) -> None:
 
 
 def read_results_csv(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    """Inverse of ``write_results_csv``. A missing column, a row shorter than
+    the header or a cell that does not convert raises a DataError naming the
+    path and line."""
+    rows = []
+    with open_text(path) as f:
         reader = csv.DictReader(f)
-        rows = []
+        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path} line 1: missing columns {missing}")
         for rec in reader:
-            rows.append({"spec": int(rec["spec"]), "policy": rec["policy"],
-                         "depth": int(rec["depth"]), "minsplit": int(rec["minsplit"]),
-                         "n_train": int(rec["n_train"]), "seed": int(rec["seed"]),
-                         "mean_revenue": float(rec["mean_revenue"]),
-                         "n_leaves": float(rec["n_leaves"])})
+            where = f"{path} line {reader.line_num}"
+            if None in rec.values():
+                raise DataError(f"{where}: fewer fields than the header")
+            row = {}
+            for column, kind in zip(RESULT_COLUMNS, _RESULT_KINDS):
+                try:
+                    row[column] = kind(rec[column])
+                except ValueError:
+                    raise DataError(
+                        f"{where}: bad {column!r} value {rec[column]!r}") from None
+            rows.append(row)
     return rows

@@ -101,9 +101,6 @@ class PolicyTree:
     grid_prices: np.ndarray
     max_depth_used: int
 
-    def predict_price(self, x) -> float:
-        return float(self.prescribe(np.reshape(x, (1, -1)))[0])
-
     def prescribe(self, X: np.ndarray) -> np.ndarray:
         prices = leaf_values(self.nodes, self.root, X, "price")
         if np.isnan(prices).any():

@@ -110,11 +110,6 @@ def true_probability_batch(spec: SyntheticSpec, X: np.ndarray, p) -> np.ndarray:
     return standard_normal_cdf(z)
 
 
-def true_probability(spec: SyntheticSpec, x, p: float) -> float:
-    """Scalar convenience wrapper around true_probability_batch."""
-    return float(true_probability_batch(spec, np.atleast_2d(x), float(p))[0])
-
-
 def generate(spec: SyntheticSpec, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. rows from the spec's generative model.
 
@@ -159,12 +154,6 @@ def oracle_optimal_batch(spec: SyntheticSpec, X: np.ndarray,
     return grid.prices[best], rev[np.arange(X.shape[0]), best]
 
 
-def oracle_optimal(spec: SyntheticSpec, x, prices: PriceGrid) -> tuple[float, float]:
-    """Best grid price and its exact expected revenue for one feature vector."""
-    p, r = oracle_optimal_batch(spec, np.atleast_2d(x), prices)
-    return float(p[0]), float(r[0])
-
-
 def fine_price_grid(lo: float, hi: float, n_points: int = 1000) -> PriceGrid:
     """Equispaced dense grid approximating the continuous price optimum."""
     if not (hi > lo):
@@ -181,9 +170,6 @@ class OraclePolicy:
 
     def prescribe(self, X: np.ndarray) -> np.ndarray:
         return oracle_optimal_batch(self.spec, X, self.grid)[0]
-
-    def predict_price(self, x) -> float:
-        return float(self.prescribe(np.atleast_2d(x))[0])
 
 
 def oracle_teacher(spec: SyntheticSpec) -> OracleTeacher:

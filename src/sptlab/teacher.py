@@ -30,6 +30,8 @@ class GbtConfig:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.max_leaves < 2:
             raise ValueError("max_leaves must be >= 2")
+        if self.min_child_samples < 1:
+            raise ValueError("min_child_samples must be >= 1")
 
 
 # GbtConfig's option types by name, for a plan's "gbt" and ``--teacher gbt:k=v``
@@ -169,17 +171,19 @@ def probability_matrix(model: TeacherModel, features: np.ndarray,
                        grid: PriceGrid) -> np.ndarray:
     """P[i, k] = f(x_i, p_k) over the whole grid, C-contiguous n x m.
 
-    The boosted teacher routes each row down each tree once per range of
-    grid prices (``BoostedTrees.predict_proba_grid``); each entry adds the
-    same numbers in the same order as ``predict_proba_batch`` at its price,
-    so the bits match the per-price columns. Other teachers are queried one
-    price at a time, since numpy does not promise identical bits for
-    transcendental ufuncs evaluated over a broadcast array.
+    The boosted teacher queries its booster with the whole grid, which
+    routes each row down each tree once per range of grid prices
+    (``sptlab.tree.walk``); each entry adds the same numbers in the same
+    order as ``predict_proba_batch`` at its price, so the bits match the
+    per-price columns. Other teachers are queried one price at a time, since
+    numpy does not promise identical bits for transcendental ufuncs
+    evaluated over a broadcast array.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if isinstance(model, GradientBoostedTeacher):
         X = model._check_dim(X)
-        return np.ascontiguousarray(model.booster.predict_proba_grid(X, grid.prices).T)
+        return np.ascontiguousarray(
+            model.booster.predict_proba(X, prices=grid.prices).T)
     return np.column_stack(
         [model.predict_proba_batch(X, float(p)) for p in grid.prices])
 
@@ -252,6 +256,3 @@ class TeacherGridPolicy:
     def prescribe(self, X: np.ndarray) -> np.ndarray:
         rm = revenue_matrix(probability_matrix(self.model, X, self.grid), self.grid)
         return self.grid.prices[np.argmax(rm.values, axis=1)]
-
-    def predict_price(self, x) -> float:
-        return float(self.prescribe(np.atleast_2d(x))[0])

@@ -4,7 +4,9 @@ The student prescriptive tree, the PT/CT/naive baselines and the boosted
 teacher's regression trees are all axis-aligned binary trees that send
 ``x[feature] <= threshold`` left. Each is a node list: ``SplitNode``s plus
 leaves of the tree's own kind (a frozen dataclass whose fields are the leaf
-payload). This module routes, checks, grows and serializes every such list.
+payload). This module routes every query, per row or over a price grid,
+through one walk (``walk``), and checks, grows and serializes every such
+list.
 
 Growers sort each feature once per fit (the pre-sorted column blocks of
 XGBoost's exact greedy method, Chen & Guestrin 2016, section 4.1). A fit
@@ -48,69 +50,62 @@ class SplitNode:
     right: int
 
 
+def walk(nodes, root, X, prices=None):
+    """Yield ``(leaf id, a, b, rows)`` for each leaf reached: the rows
+    ``rows`` of the 2-D float array X reach it at the prices ``prices[a:b]``.
+
+    Without prices the price range is the single slot [0, 1). With
+    ascending ``prices`` the price is feature ``X.shape[1]``: the prices at
+    or below a price split's threshold are a prefix of the node's range, so
+    that split cuts the range and sends the same rows both ways, while any
+    other split partitions the rows; a row is routed once per range of
+    prices, not once per price. A split on a feature past these raises a
+    ValueError naming it.
+    """
+    width = X.shape[1] + (prices is not None)
+    if prices is not None:
+        prices = np.asarray(prices, dtype=np.float64)
+    stack = [(root, 0, 1 if prices is None else prices.size,
+              np.arange(X.shape[0]))]
+    while stack:
+        nid, a, b, rows = stack.pop()
+        if a == b or rows.size == 0:
+            continue
+        node = nodes[nid]
+        if not isinstance(node, SplitNode):
+            yield nid, a, b, rows
+        elif node.feature >= width:
+            raise ValueError(f"feature matrix of dim {width} too narrow for "
+                             f"split on feature {node.feature}")
+        elif node.feature == X.shape[1]:
+            cut = a + int(np.searchsorted(prices[a:b], node.threshold, side="right"))
+            stack.append((node.left, a, cut, rows))
+            stack.append((node.right, cut, b, rows))
+        else:
+            go_left = X[rows, node.feature] <= node.threshold
+            stack.append((node.left, a, b, rows.compress(go_left)))
+            stack.append((node.right, a, b, rows.compress(~go_left)))
+
+
 def apply(nodes, root, X) -> np.ndarray:
     """Leaf node id reached by each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        nid, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        node = nodes[nid]
-        if not isinstance(node, SplitNode):
-            out[idx] = nid
-            continue
-        if node.feature >= X.shape[1]:
-            raise ValueError(
-                f"feature matrix of dim {X.shape[1]} too narrow for split on "
-                f"feature {node.feature}")
-        go_left = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx.compress(go_left)))
-        stack.append((node.right, idx.compress(~go_left)))
+    for nid, _, _, rows in walk(nodes, root, X):
+        out[rows] = nid
     return out
 
 
-def leaf_values(nodes, root, X, field: str) -> np.ndarray:
-    """The ``field`` of the leaf each row of X reaches."""
-    values = np.asarray([getattr(node, field, np.nan) for node in nodes],
-                        dtype=np.float64)
-    return values[apply(nodes, root, X)]
-
-
-def grid_leaf_values(nodes, root, X, prices, field: str) -> np.ndarray:
-    """(m, n) array whose [k, i] is the ``field`` of the leaf that row i of
-    X reaches with ``prices[k]`` appended as its last feature, feature
-    ``X.shape[1]``; ``prices`` must be ascending.
-
-    A node is reached by a set of rows and a range [a, b) of prices. The
-    prices at or below a price split's threshold are a prefix of the range,
-    so that split cuts the range and sends the same rows both ways; any other
-    split partitions the rows. Each row is therefore routed once per price
-    range rather than once per price, and reaches the leaf that ``apply``
-    finds for each of its (row, price) pairs.
-    """
+def leaf_values(nodes, root, X, field: str, prices=None) -> np.ndarray:
+    """The ``field`` of the leaf each row of X reaches. With ascending
+    ``prices``, an (m, n) array whose [k, i] is the ``field`` of the leaf
+    that row i of X reaches with ``prices[k]`` appended as its last feature
+    (``walk``)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    prices = np.asarray(prices, dtype=np.float64)
-    d = X.shape[1]
-    out = np.empty((prices.size, X.shape[0]))
-    stack = [(root, 0, prices.size, np.arange(X.shape[0]))]
-    while stack:
-        nid, a, b, idx = stack.pop()
-        if a == b or idx.size == 0:
-            continue
-        node = nodes[nid]
-        if not isinstance(node, SplitNode):
-            out[a:b, idx] = getattr(node, field)
-        elif node.feature == d:
-            cut = a + int(np.searchsorted(prices[a:b], node.threshold, side="right"))
-            stack.append((node.left, a, cut, idx))
-            stack.append((node.right, cut, b, idx))
-        else:
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, a, b, idx.compress(go_left)))
-            stack.append((node.right, a, b, idx.compress(~go_left)))
-    return out
+    out = np.empty((1 if prices is None else len(prices), X.shape[0]))
+    for nid, a, b, rows in walk(nodes, root, X, prices):
+        out[a:b, rows] = getattr(nodes[nid], field)
+    return out[0] if prices is None else out
 
 
 def check_structure(nodes, root, where: str = "") -> int:

@@ -61,7 +61,7 @@ def _spt_depth3_mean(spec4_runs):
 def test_criterion_1_toy_exactness(toy_teacher, toy_features, toy_revmat):
     t0 = time.time()
     single = fit_spt(toy_features, toy_revmat, FitConfig(max_depth=0))
-    single_price = single.predict_price([0.0])
+    single_price = single.prescribe([[0.0]])[0]
     single_rev = expected_revenue(single, toy_features, toy_teacher)
 
     # naive comparator: one-leaf MSE regression on the teacher-optimal prices

@@ -120,8 +120,7 @@ def test_pt_splits_separate_segments():
     y = np.where(X[:, 0] <= 0, (prices == 2.0), (prices == 3.0)).astype(int)
     data = Dataset(X, prices, y, ("x0",))
     tree = fit_pt(data, grid, FitConfig(max_depth=1))
-    assert tree.predict_price([0.0]) == 2.0
-    assert tree.predict_price([1.0]) == 3.0
+    assert tree.prescribe([[0.0], [1.0]]).tolist() == [2.0, 3.0]
 
 
 # --- one-vs-all causal trees ----------------------------------------------------
@@ -152,8 +151,8 @@ def test_ct_two_segment_fixture():
     policy = fit_ct_one_vs_all(data, grid, FitConfig(max_depth=2), seed=1)
     probe_a = np.asarray([[-1.0, 0.0]])
     probe_b = np.asarray([[1.0, 0.0]])
-    assert policy.predict_price(probe_a) == 2.0
-    assert policy.predict_price(probe_b) == 4.0  # B sells regardless: higher revenue
+    assert policy.prescribe(probe_a)[0] == 2.0
+    assert policy.prescribe(probe_b)[0] == 4.0  # B sells regardless: higher revenue
 
 
 def test_ct_depth0_constant():
@@ -198,7 +197,7 @@ def test_one_vs_all_tie_breaks_lowest_price():
 
     grid = PriceGrid(np.asarray([2.0, 4.0]))
     policy = OneVsAllPolicy([_Const(0.5), _Const(0.25)], grid)  # 2*0.5 == 4*0.25
-    assert policy.predict_price([0.0]) == 2.0
+    assert policy.prescribe([[0.0]])[0] == 2.0
 
 
 # --- naive distillation ----------------------------------------------------------
@@ -210,7 +209,7 @@ def test_naive_constant_teacher_single_leaf():
     tree = fit_naive_distill(X, probability_matrix(t, X, grid), grid,
                              FitConfig(max_depth=4))
     assert tree.n_leaves == 1
-    assert tree.predict_price([0.0, 0.0]) == 3.0  # grid-wide argmax of p * 0.5
+    assert tree.prescribe([[0.0, 0.0]])[0] == 3.0  # grid-wide argmax of p * 0.5
 
 
 def test_naive_leaf_prices_in_grid_and_mse_monotone():
@@ -253,8 +252,7 @@ def test_naive_recovers_segment_prices():
     X = np.asarray([[0.0]] * 10 + [[1.0]] * 10)
     tree = fit_naive_distill(X, probability_matrix(t, X, grid), grid,
                              FitConfig(max_depth=1))
-    assert tree.predict_price([0.0]) == 10.0
-    assert tree.predict_price([1.0]) == 12.0
+    assert tree.prescribe([[0.0], [1.0]]).tolist() == [10.0, 12.0]
 
 
 # --- constant and historical ------------------------------------------------------
@@ -262,18 +260,18 @@ def test_naive_recovers_segment_prices():
 def test_constant_price_policy_toy(toy_revmat):
     tree = constant_price_policy(toy_revmat)
     assert tree.n_leaves == 1
-    assert tree.predict_price([0.0]) == 10.0
+    assert tree.prescribe([[0.0]])[0] == 10.0
     assert tree.nodes[tree.root].revenue_sum == 20.0
 
 
 def test_constant_price_single_column():
     rm = RevenueMatrix(np.asarray([[1.0], [2.0]]), PriceGrid(np.asarray([3.0])))
-    assert constant_price_policy(rm).predict_price([0.0]) == 3.0
+    assert constant_price_policy(rm).prescribe([[0.0]])[0] == 3.0
 
 
 def test_constant_price_uniform_ties_low():
     rm = RevenueMatrix(np.full((3, 2), 0.5), PriceGrid(np.asarray([1.0, 2.0])))
-    assert constant_price_policy(rm).predict_price([0.0]) == 1.0
+    assert constant_price_policy(rm).prescribe([[0.0]])[0] == 1.0
 
 
 @pytest.mark.parametrize("spec_id", [2, 4, 6])

@@ -287,6 +287,8 @@ def test_experiment_bad_plan(tmp_path, capsys):
      "plan field 'n_train': bad value 10: must be >= 20"),
     ({"specs": [1], "n_train": 19}, "plan field 'n_train': bad value 19: must be >= 20"),
     ({"reps": 1}, "missing plan field 'specs'"),
+    ({"specs": [1], "gbt": {"min_child_samples": 0}},
+     "gbt: min_child_samples must be >= 1"),
 ])
 def test_experiment_malformed_plan_is_located_error(tmp_path, capsys, doc, message):
     plan = tmp_path / "plan.json"
@@ -464,6 +466,8 @@ BAD_FIT_FLAGS = [
                               "(1, 2, 3, 4, 5, 6), got 'x'"),
     ("--teacher", "gbt:rounds", "--teacher: gbt option 'rounds': bad value ''"),
     ("--teacher", "gbt:rounds=0", "--teacher: rounds must be >= 1"),
+    ("--teacher", "gbt:rounds=3,min_child_samples=-3",
+     "--teacher: min_child_samples must be >= 1"),
     ("--teacher", "bogus:1", "--teacher: unknown teacher or truth source 'bogus:1'"),
     ("--grid", "explicit:1,a", "--grid: could not convert string to float: 'a'"),
     ("--grid", "explicit:", "--grid: could not convert string to float: ''"),
@@ -569,8 +573,8 @@ def test_fit_naive_with_table_teacher_uses_rows_not_features(tmp_path):
                    "--teacher", f"table:{table}", "--grid", "explicit:10,12",
                    "--depth", "1", "--out", str(out)) == 0
     tree = tree_from_json(out.read_text())
-    assert tree.predict_price([5.0, 0.0]) == 10.0
-    assert tree.predict_price([7.0, 1.0]) == 12.0
+    assert tree.prescribe([[5.0, 0.0]])[0] == 10.0
+    assert tree.prescribe([[7.0, 1.0]])[0] == 12.0
 
 
 def _write_table(path, probs):

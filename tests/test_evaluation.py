@@ -105,8 +105,8 @@ def test_hypercube_d1_k1_cells():
     tree = hypercube_policy(flat, grid, 1, 1, probes)
     assert tree.n_leaves == 2
     # boundary membership: 0.5 belongs to the left cell
-    assert tree.predict_price([0.5]) == tree.predict_price([0.1])
-    assert tree.predict_price([0.50001]) == tree.predict_price([0.9])
+    at_half, left, past_half, right = tree.prescribe([[0.5], [0.1], [0.50001], [0.9]])
+    assert at_half == left and past_half == right
 
 
 def test_hypercube_d2_k4_structure():
@@ -134,9 +134,9 @@ def test_hypercube_empty_cell_reported_at_prediction():
     grid = fine_price_grid(0.1, 1.5, 10)
     probes = np.asarray([[0.1, 0.1], [0.9, 0.9]])  # leaves many cells empty
     tree = hypercube_policy(truth, grid, 4, 2, probes)
-    assert tree.predict_price([0.05, 0.05]) > 0
+    assert tree.prescribe([[0.05, 0.05]])[0] > 0
     with pytest.raises(EmptyLeafError):
-        tree.predict_price([0.9, 0.1])
+        tree.prescribe([[0.9, 0.1]])
 
 
 def test_hypercube_probe_domain_check():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sptlab import experiments, synth
-from sptlab.dataset import PriceGrid, percentile_grid
+from sptlab.dataset import DataError, PriceGrid, percentile_grid
 from sptlab.experiments import (ExperimentPlan, PlanError,
                                 aggregate, load_plan, plan_from_dict,
                                 prepare_cell_inputs, read_results_csv, run_cell,
@@ -253,6 +253,24 @@ def test_results_csv_round_trip(tmp_path):
     write_results_csv(rows, path)
     back = read_results_csv(path)
     assert back == rows
+
+
+_HEADER = ",".join(experiments.RESULT_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HEADER.replace(",minsplit", "") + "1,spt,1,400,0,1.5,2.0\n",
+     "line 1: missing columns ['minsplit']"),
+    (_HEADER + "1,spt,1,2,400\n", "line 2: fewer fields than the header"),
+    (_HEADER + "1,spt,1,2,400,0,1.5,2.0\n1,spt,x,2,400,0,1.5,2.0\n",
+     "line 3: bad 'depth' value 'x'"),
+], ids=["missing-column", "short-row", "bad-cell"])
+def test_read_results_csv_malformed_is_located_error(tmp_path, text, message):
+    path = tmp_path / "results.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_results_csv(path)
+    assert str(err.value) == f"{path} {message}"
 
 
 def test_fit_policy_rejects_a_name_it_does_not_fit():

@@ -104,15 +104,14 @@ def test_best_split_respects_min_leaf():
 def test_fit_depth0_single_leaf(toy_revmat, toy_features):
     tree = fit_spt(toy_features, toy_revmat, FitConfig(max_depth=0))
     assert tree.n_leaves == 1
-    assert tree.predict_price([0.0]) == 10.0
+    assert tree.prescribe([[0.0]])[0] == 10.0
     assert training_revenue(tree) == 20.0
 
 
 def test_fit_toy_depth1_reaches_optimum(toy_revmat, toy_features):
     tree = fit_spt(toy_features, toy_revmat, FitConfig(max_depth=1))
     assert tree.n_leaves == 2
-    assert tree.predict_price([0.0]) == 10.0
-    assert tree.predict_price([1.0]) == 12.0
+    assert tree.prescribe([[0.0], [1.0]]).tolist() == [10.0, 12.0]
     assert training_revenue(tree) == 22.0  # 11 per customer
 
 
@@ -271,14 +270,14 @@ def test_fit_config_invariants():
 
 def test_predict_single_leaf_any_input():
     tree = single_leaf_tree(2.99)
-    assert tree.predict_price([123.0, -5.0]) == 2.99
+    assert tree.prescribe([[123.0, -5.0]])[0] == 2.99
 
 
 def test_boundary_routes_left():
     nodes = [SplitNode(0, 1.5, 1, 2), LeafNode(1.99, 0.0, 1), LeafNode(2.99, 0.0, 1)]
     tree = PolicyTree(nodes, 0, ("x0",), np.asarray([1.99, 2.99]), 1)
-    assert tree.predict_price([1.5, 0.0]) == 1.99
-    assert tree.predict_price([1.5000001]) == 2.99
+    assert tree.prescribe([[1.5, 0.0]])[0] == 1.99
+    assert tree.prescribe([[1.5000001]])[0] == 2.99
 
 
 def test_named_feature_routing():
@@ -292,16 +291,15 @@ def test_named_feature_routing():
     ]
     tree = PolicyTree(nodes, 0, ("income", "single_female"),
                       np.asarray([1.99, 2.49, 2.99]), 2)
-    assert tree.predict_price([80_000.0, 1.0]) == 1.99
-    assert tree.predict_price([80_000.0, 0.0]) == 2.49
-    assert tree.predict_price([200_000.0, 1.0]) == 2.99
+    X = [[80_000.0, 1.0], [80_000.0, 0.0], [200_000.0, 1.0]]
+    assert tree.prescribe(X).tolist() == [1.99, 2.49, 2.99]
 
 
 def test_predict_dimension_error():
     nodes = [SplitNode(1, 0.0, 1, 2), LeafNode(1.0, 0.0, 1), LeafNode(2.0, 0.0, 1)]
     tree = PolicyTree(nodes, 0, ("a", "b"), np.asarray([1.0, 2.0]), 1)
     with pytest.raises(ValueError):
-        tree.predict_price([1.0])
+        tree.prescribe([[1.0]])
 
 
 def test_prescribe_matches_pointwise():
@@ -311,14 +309,14 @@ def test_prescribe_matches_pointwise():
     vals = rng.uniform(0, 1, (50, 2)) * prices
     tree = fit_spt(X, make_revmat(vals, prices=prices), FitConfig(max_depth=2))
     batch = tree.prescribe(X)
-    single = [tree.predict_price(x) for x in X]
+    single = [tree.prescribe([x])[0] for x in X]
     np.testing.assert_array_equal(batch, single)
 
 
 def test_unpriced_leaf_raises():
     tree = single_leaf_tree(float("nan"))
     with pytest.raises(EmptyLeafError):
-        tree.predict_price([0.0])
+        tree.prescribe([[0.0]])
 
 
 # --- export / import -----------------------------------------------------------

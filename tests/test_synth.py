@@ -5,10 +5,9 @@ import pytest
 
 from sptlab.dataset import PriceGrid
 from sptlab.synth import (SPEC_IDS, baseline_utility, fine_price_grid,
-                          generate, make_spec, oracle_optimal,
-                          oracle_optimal_batch, oracle_teacher,
-                          price_sensitivity, standard_normal_cdf,
-                          true_probability, true_probability_batch)
+                          generate, make_spec, oracle_optimal_batch,
+                          oracle_teacher, price_sensitivity,
+                          standard_normal_cdf, true_probability_batch)
 
 
 def erf_cdf(z):
@@ -58,14 +57,15 @@ def test_spec4_two_dim_step():
 
 def test_spec1_probability():
     spec = make_spec(1)
-    assert true_probability(spec, [5.0, 0.0], 5.0) == 0.5
-    assert true_probability(spec, [5.0, 0.0], 4.0) == pytest.approx(0.841345, abs=5e-7)
+    assert true_probability_batch(spec, [[5.0, 0.0]], 5.0)[0] == 0.5
+    assert (true_probability_batch(spec, [[5.0, 0.0]], 4.0)[0]
+            == pytest.approx(0.841345, abs=5e-7))
 
 
 def test_spec6_degenerate_sensitivity():
     spec = make_spec(6)
     for p in (0.0, 3.0, 100.0):
-        assert true_probability(spec, [0.0, 0.0], p) == 0.5
+        assert true_probability_batch(spec, [[0.0, 0.0]], p)[0] == 0.5
 
 
 def test_spec2_beta_sparse_and_seeded():
@@ -91,7 +91,7 @@ def test_spec2_invariant_to_zero_beta_features():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        true_probability(make_spec(2, seed=0), [1.0, 2.0], 1.0)
+        true_probability_batch(make_spec(2, seed=0), [[1.0, 2.0]], 1.0)
 
 
 # --- generate -----------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_oracle_optimal_monotone_case():
     # h = 0: revenue is increasing in price, so the top grid price wins
     spec = make_spec(6)
     grid = PriceGrid(np.asarray([1.0, 2.0, 3.0]))
-    price, rev = oracle_optimal(spec, [0.0, 0.0], grid)
+    (price,), (rev,) = oracle_optimal_batch(spec, [[0.0, 0.0]], grid)
     assert price == 3.0
     assert rev == pytest.approx(1.5)
 
@@ -161,7 +161,7 @@ def test_oracle_optimal_monotone_case():
 def test_oracle_optimal_dataset1():
     spec = make_spec(1)
     grid = PriceGrid(np.asarray([4.0, 5.0, 6.0]))
-    price, rev = oracle_optimal(spec, [5.0, 0.0], grid)
+    (price,), (rev,) = oracle_optimal_batch(spec, [[5.0, 0.0]], grid)
     assert price == 4.0
     assert rev == pytest.approx(4.0 * erf_cdf(1.0), abs=1e-12)
 
@@ -169,7 +169,7 @@ def test_oracle_optimal_dataset1():
 def test_oracle_optimal_single_grid():
     spec = make_spec(1)
     grid = PriceGrid(np.asarray([4.5]))
-    price, _ = oracle_optimal(spec, [5.0, 0.0], grid)
+    (price,), _ = oracle_optimal_batch(spec, [[5.0, 0.0]], grid)
     assert price == 4.5
 
 

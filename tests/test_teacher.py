@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,8 @@ def test_gbt_config_invariants():
         GbtConfig(learning_rate=1.5)
     with pytest.raises(ValueError):
         GbtConfig(max_leaves=1)
+    with pytest.raises(ValueError):
+        GbtConfig(min_child_samples=0)
 
 
 def test_fit_gbt_separable_training_accuracy():
@@ -83,7 +86,7 @@ def test_prefix_stability():
     aug = np.column_stack([data.features, data.prices])
     np.testing.assert_array_equal(
         short.predict_proba_batch(data.features, data.prices),
-        long.booster.predict_proba(aug, 5))
+        replace(long.booster, trees=long.booster.trees[:5]).predict_proba(aug))
 
 
 def test_gbt_save_load_round_trip(tmp_path):
@@ -303,7 +306,8 @@ def test_fit_training_margin_equals_predict_margin(monkeypatch):
     final = seen[0][0]  # the fit's one margin array, updated in place
     assert all(margin is final for margin, _ in seen)
     for t, (_, before_round) in enumerate(seen):
-        assert before_round.tobytes() == model.predict_margin(X, t).tobytes()
+        prefix = replace(model, trees=model.trees[:t])
+        assert before_round.tobytes() == prefix.predict_margin(X).tobytes()
     assert final.tobytes() == model.predict_margin(X).tobytes()
 
 

@@ -16,7 +16,7 @@ from sptlab.spt import (FitConfig, LeafNode, PolicyTree, export_tree, fit_spt,
                         tree_from_json)
 from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import probability_matrix, revenue_matrix
-from sptlab.tree import SplitNode, apply, check_structure, grid_leaf_values
+from sptlab.tree import SplitNode, apply, check_structure, leaf_values
 
 
 def _reference_leaf(nodes, root, x):
@@ -74,7 +74,8 @@ def test_apply_matches_per_row_walk(n_splits, d, n_rows, seed):
         effects.treated_means(X),
         [effect[_reference_leaf(effect, 0, x)].treated_mean for x in X])
     np.testing.assert_array_equal(
-        effects.effects(X), [effect[_reference_leaf(effect, 0, x)].effect for x in X])
+        leaf_values(effect, 0, X, "effect"),
+        [effect[_reference_leaf(effect, 0, x)].effect for x in X])
     np.testing.assert_array_equal(
         boosting.Tree(gbt).predict(X),
         [gbt[_reference_leaf(gbt, 0, x)].value for x in X])
@@ -99,7 +100,8 @@ def _mask_apply(nodes, root, X):
 
 
 def _mask_grid_leaf_values(nodes, root, X, prices, field):
-    """``grid_leaf_values`` as it was written with boolean-mask selection."""
+    """``leaf_values`` over a price grid as it was written with boolean-mask
+    selection."""
     d = X.shape[1]
     out = np.empty((prices.size, X.shape[0]))
     stack = [(root, 0, prices.size, np.arange(X.shape[0]))]
@@ -160,18 +162,30 @@ def _mask_trees(draw):
 @settings(max_examples=150, deadline=None)
 @given(_mask_trees())
 def test_routing_matches_boolean_mask_reference(tree_case):
-    """``apply`` and ``grid_leaf_values`` select each child's rows with
-    ``compress``; they equal the boolean-mask routing bit for bit, also when
-    a split sends every row, or none, to one side."""
+    """``apply`` and ``leaf_values`` over a price grid select each child's
+    rows with ``compress``; they equal the boolean-mask routing bit for bit,
+    also when a split sends every row, or none, to one side."""
     nodes, X, prices = tree_case
     # apply routes on the d features and the price column as feature d
     Xp = np.column_stack([X, np.full(X.shape[0], prices[0])])
     got = apply(nodes, 0, Xp)
     assert got.dtype == np.int64
     assert got.tobytes() == _mask_apply(nodes, 0, Xp).tobytes()
-    got = grid_leaf_values(nodes, 0, X, prices, "value")
+    got = leaf_values(nodes, 0, X, "value", prices)
     want = _mask_grid_leaf_values(nodes, 0, X, prices, "value")
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_grid_query_names_a_split_past_the_price_column():
+    """With prices the price is feature d; a split on a later feature is
+    refused, as a split on a feature past X is without prices."""
+    nodes = [SplitNode(3, 0.0, 1, 2), boosting.ValueLeaf(1.0),
+             boosting.ValueLeaf(2.0)]
+    X = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="dim 3 too narrow for split on feature 3"):
+        boosting.Tree(nodes).predict(X, prices=[1.0, 2.0])
+    with pytest.raises(ValueError, match="dim 2 too narrow for split on feature 3"):
+        boosting.Tree(nodes).predict(X)
 
 
 def test_check_structure_returns_depth():
