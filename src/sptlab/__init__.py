@@ -8,9 +8,8 @@ from .teacher import (GbtConfig, GradientBoostedTeacher, OracleTeacher,
                       RevenueMatrix, TableTeacher, TeacherGridPolicy,
                       TeacherModel, auc, fit_gbt, load_table_teacher,
                       probability_matrix, revenue_matrix)
-from .spt import (FitConfig, PolicyTree, SplitCandidate, best_split,
-                  export_tree, fit_spt, leaf_revenue, single_leaf_tree,
-                  training_revenue, tree_from_json)
+from .spt import (FitConfig, PolicyTree, export_tree, fit_spt, leaf_revenue,
+                  single_leaf_tree, training_revenue, tree_from_json)
 from .baselines import (OneVsAllPolicy, assign_treatments, constant_price_policy,
                         export_one_vs_all, fit_ct_one_vs_all, fit_naive_distill,
                         fit_pt, historical_policy_revenue, naive_training_mse,

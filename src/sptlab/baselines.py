@@ -14,7 +14,7 @@ from .spt import (_BLOCK_ROWS, FitConfig, PolicyTree, StatsCriterion,
                   stat_pairs)
 from .teacher import RevenueMatrix, TeacherModel
 from .tree import (grow_preorder, json_field, leaf_values, nodes_from_json,
-                   nodes_to_json, presort)
+                   nodes_to_json)
 
 
 def assign_treatments(prices, grid: PriceGrid) -> np.ndarray:
@@ -243,7 +243,7 @@ def _group_means(y, w, rows):
     return mu1 - mu0, mu1
 
 
-def _fit_effect_tree(ws: SweepWorkspace, X, y, w, struct_rows, struct_orders,
+def _fit_effect_tree(ws: SweepWorkspace, y, w, struct_rows, struct_orders,
                      est_rows, config: FitConfig) -> EffectTree:
     crit = _EffectVarianceCriterion(y, w)
     root_est = _group_means(y, w, est_rows)
@@ -258,9 +258,9 @@ def _fit_effect_tree(ws: SweepWorkspace, X, y, w, struct_rows, struct_orders,
         got = split_node(ws, srows, sorders, depth, config, crit)
         if got is None:
             return EffectLeaf(eff, mu1, int(erows.size))
-        cand, left, right = got
-        e_left = X[erows, cand.feature_index] <= cand.threshold
-        return (cand.feature_index, cand.threshold,
+        feature, threshold, left, right = got
+        e_left = ws.column(feature)[erows] <= threshold
+        return (feature, threshold,
                 (*left, erows.compress(e_left), depth + 1, (eff, mu1)),
                 (*right, erows.compress(~e_left), depth + 1, (eff, mu1)))
 
@@ -296,19 +296,17 @@ def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, config: FitConfig,
     structure and estimation halves shared by all treatments."""
     treatments = assign_treatments(data.prices, grid)
     struct_rows, est_rows = half_rows(data.n, seed)
-    X = data.features
     y = data.outcomes.astype(np.float64)
-    ws = SweepWorkspace(X, struct_rows.size, _EffectVarianceCriterion.WIDTH)
-    struct_orders, ws.untied = presort(ws.columns, struct_rows)  # these and ws serve all m trees
-    orders = np.empty_like(struct_orders)  # each tree partitions its own copy
+    ws = SweepWorkspace(data.features, struct_rows, _EffectVarianceCriterion.WIDTH)
+    orders = np.empty_like(ws.orders)  # ws serves all m trees; each partitions a copy
     trees = []
     for t in range(grid.m):
         w = (treatments == t).astype(np.float64)
         if w.sum() < 1 or (data.n - w.sum()) < 1:
             raise DataError(f"treatment {t} has an empty treated or control group")
-        np.copyto(orders, struct_orders)
-        trees.append(_fit_effect_tree(ws, X, y, w, struct_rows, orders,
-                                      est_rows, config))
+        np.copyto(orders, ws.orders)
+        trees.append(_fit_effect_tree(ws, y, w, struct_rows, orders, est_rows,
+                                      config))
     return OneVsAllPolicy(trees, grid)
 
 

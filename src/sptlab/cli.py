@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 from . import baselines, experiments, synth
@@ -22,6 +23,15 @@ from .spt import (EmptyLeafError, FitConfig, export_tree, fit_spt,
                   training_revenue, tree_from_json)
 from .teacher import (GBT_OPTION_KINDS, GbtConfig, fit_gbt, load_table_teacher,
                       probability_matrix, revenue_matrix)
+
+
+@contextmanager
+def _located(flag: str):
+    """Raise a ValueError of the block as a DataError naming ``flag``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"{flag}: {exc}") from None
 
 
 def _parse_gbt_config(text: str) -> GbtConfig:
@@ -44,10 +54,8 @@ def _teacher_source(flag: str, source: str, data, grid, seed: int):
     ``flag``. The GBT is fitted, or the table read, only when it is called."""
     kind, _, rest = source.partition(":")
     if kind == "gbt":
-        try:
+        with _located(flag):  # DataError, or a GbtConfig invariant
             config = _parse_gbt_config(rest)
-        except ValueError as exc:  # DataError, or a GbtConfig invariant
-            raise DataError(f"{flag}: {exc}") from None
         return lambda: fit_gbt(data, config)
     if kind == "table" and not rest:
         raise DataError(f"{flag}: table needs a path, got {source!r}")
@@ -76,16 +84,16 @@ def _parse_grid(flag: str, data):
     if flag == "percentile":
         return percentile_grid(data.prices)
     if flag.startswith("explicit:"):
-        try:
+        with _located("--grid"):  # a price that is no number, or a bad ladder
             return explicit_grid([float(v) for v in flag.split(":", 1)[1].split(",")])
-        except ValueError as exc:  # a price that is no number, or a bad ladder
-            raise DataError(f"--grid: {exc}") from None
     raise DataError(f"--grid: unknown grid mode {flag!r}")
 
 
 def cmd_synth(args) -> int:
-    spec = synth.make_spec(args.spec, args.seed)
-    data = synth.generate(spec, args.n, args.seed)
+    with _located("--spec"):
+        spec = synth.make_spec(args.spec, args.seed)
+    with _located("--n"):
+        data = synth.generate(spec, args.n, args.seed)
     write_csv(data, args.out)
     print(f"wrote {args.out}: n={data.n} d={data.d} "
           f"positive_rate={data.outcomes.mean():.4f} seed={args.seed}")
@@ -95,7 +103,8 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     data = load_csv(args.data)
     grid = _parse_grid(args.grid, data)
-    config = FitConfig.for_knob(args.depth, args.minsplit)
+    with _located("--depth" if args.minsplit is None else "--minsplit"):
+        config = FitConfig.for_knob(args.depth, args.minsplit)
     flags = {"data": args.data, "method": args.method, "grid": args.grid,
              "depth": args.depth, "minsplit": args.minsplit, "seed": args.seed,
              "teacher": args.teacher}

@@ -36,8 +36,9 @@ def _text_errors(path):
 @contextmanager
 def open_text(path, newline=""):
     """``open(path)`` for reading UTF-8 text (CSV by default: ``newline=""``),
-    with the DataErrors of ``_text_errors`` while the file is read."""
-    with _text_errors(path), open(path, "r", encoding="utf-8", newline=newline) as f:
+    with the DataErrors of ``_text_errors`` while the file is read. A leading
+    byte-order mark, as spreadsheet programs write, is skipped."""
+    with _text_errors(path), open(path, encoding="utf-8-sig", newline=newline) as f:
         yield f
 
 
@@ -164,6 +165,7 @@ def load_csv(path) -> Dataset:
     """Load a dataset from CSV with reserved columns `price` and `sold`.
 
     Every other column is a numeric feature; file column order is preserved.
+    A leading byte-order mark is skipped.
 
     A process parses a given file content once: the last Dataset read is
     kept, keyed by the sha256 of the bytes it was parsed from, and returned
@@ -190,7 +192,7 @@ def load_csv(path) -> Dataset:
         for checked in (False, True) if seekable else (True,):
             hashed = _HashingReader(f)
             with _text_errors(path):
-                text = io.TextIOWrapper(hashed, encoding="utf-8", newline="")
+                text = io.TextIOWrapper(hashed, encoding="utf-8-sig", newline="")
                 data = _parse_csv(path, text, checked)
             if data is not None:
                 break

@@ -281,25 +281,20 @@ def run_cell(plan: ExperimentPlan, spec_id: int, n: int, seed: int,
     return rows
 
 
-def _cell_groups(plan: ExperimentPlan) -> list[list[tuple]]:
-    """The plan's cells (spec, n, seed, depth, minsplit), grouped by
-    (spec, n, seed) so each group shares one ``CellInputs``."""
-    return [[(spec_id, n, seed, depth, minsplit) for depth, minsplit in plan.knobs]
-            for spec_id in plan.specs for n in plan.n_train for seed in plan.seeds]
-
-
-def _run_group(plan: ExperimentPlan, cells: list[tuple]) -> list[dict]:
-    inputs = prepare_cell_inputs(plan, *cells[0][:3])
-    return [row for cell in cells for row in run_cell(plan, *cell, inputs=inputs)]
-
-
 def run_experiment(plan: ExperimentPlan) -> list[dict]:
     """Run every cell of the plan; rows come back sorted by key.
 
-    Cells are grouped by (spec, n_train, seed): each group generates its data
-    and fits its teacher once, then runs ``run_cell`` for each depth or
-    minsplit. The groups run one after another."""
-    rows = [row for cells in _cell_groups(plan) for row in _run_group(plan, cells)]
+    Each (spec, n_train, seed) generates its data and fits its teacher once,
+    then runs ``run_cell`` for each depth or minsplit, one after another."""
+    rows = []
+    for spec_id in plan.specs:
+        for n in plan.n_train:
+            for seed in plan.seeds:
+                inputs = prepare_cell_inputs(plan, spec_id, n, seed)
+                for depth, minsplit in plan.knobs:
+                    rows += run_cell(plan, spec_id, n, seed, depth, minsplit,
+                                     inputs=inputs)
+                del inputs  # freed before the next cell's inputs are made
     rows.sort(key=lambda r: (r["spec"], r["policy"], r["depth"], r["minsplit"],
                              r["n_train"], r["seed"]))
     return rows

@@ -10,16 +10,16 @@ strictly improves. Ties break to the lowest feature index, then the lowest
 threshold, then the lowest price, so fits are deterministic and invariant
 to row order.
 
-The same engine drives the baseline trees (different node criteria plugged
-into ``grow_tree``). Each fit sorts every feature once and hands each node
+The same engine, one split step (``split_node``), drives the baseline
+trees under other node criteria. Each fit sorts every feature once and hands each node
 its rows in feature order (``sptlab.tree``): one order buffer per fit, which
 every split partitions in place. Each criterion holds its per-row
 statistics two to a complex number, one contiguous complex row per pair of
 statistics (``stat_pairs``), so that one complex cumsum cumulates two
 statistics, each lane adding what a float cumsum of its statistic adds.
-Each fit owns one ``SweepWorkspace``: the fit's own C-order features read
-through their transpose, from which the orders are sorted too, the flags
-of its untied columns, a contiguous copy of each tied column (the only
+Each fit owns one ``SweepWorkspace``, which sorts the fit's rows when it is
+made: the fit's own C-order features read through their transpose, the
+root's orders, the flags of its untied columns, a contiguous copy of each tied column (the only
 values the sweep gathers), and blocks sized for its largest node, in which
 the split sweep of every feature at every node gathers and cumulates its
 statistic pairs instead of allocating fresh arrays. Node sums and boundary scores
@@ -76,15 +76,6 @@ class LeafNode:
     price: float
     revenue_sum: float
     n_train: int
-
-
-@dataclass(frozen=True)
-class SplitCandidate:
-    feature_index: int
-    threshold: float
-    combined_revenue: float
-    left_count: int
-    right_count: int
 
 
 class EmptyLeafError(RuntimeError):
@@ -210,25 +201,28 @@ class SweepWorkspace:
     """The buffers of one fit's split search, reused at every node.
 
     ``columns`` is the fit's C-order float64 features read through their
-    transpose, one row per feature and no copy, and ``untied`` flags the
-    columns without ties over the fit's rows (``presort``; all false until
-    the fit sets them). Setting ``untied`` copies each tied column into a
-    contiguous vector of ``tied_columns``, which ``column`` returns: only a
-    tied column's values are gathered in the sweep, at every node, where a
+    transpose, one row per feature and no copy. The workspace sorts the
+    fit's ``rows`` when it is made: ``orders, untied = presort(columns,
+    rows)``, the root node's orders and the flags of the columns without
+    ties over those rows. Each tied column is copied then into a contiguous
+    vector of ``tied_columns``, which ``column`` returns: only a tied
+    column's values are gathered in the sweep, at every node, where a
     strided gather from the row-major features made fits on features
-    rounded to 0.1 (n=50k, d=20) 1.1-2.1 times slower. An untied column is never copied, and
-    nothing is copied under the default flags. ``cum`` holds a complex ``(pairs, rows)`` block of
-    statistic pairs for up to ``n_rows`` rows (the fit's largest node), and
-    first a tied column's values; ``left`` and ``right`` hold one float
+    rounded to 0.1 (n=50k, d=20) 1.1-2.1 times slower. An untied column is
+    never copied. ``cum`` holds a complex ``(pairs, rows)`` block of
+    statistic pairs for up to ``len(rows)`` rows (the fit's largest node),
+    and first a tied column's values; ``left`` and ``right`` hold one float
     ``(width, rows)`` block of boundaries and ``scores`` their scores. Each
     is flat, so that its block for any row count is contiguous (``block``).
     """
 
-    def __init__(self, features, n_rows: int, width: int):
+    def __init__(self, features, rows, width: int):
         self.columns = np.ascontiguousarray(features, dtype=np.float64).T
-        self._untied = np.zeros(self.columns.shape[0], dtype=bool)
-        self.tied_columns = {}  # made by the untied setter, none before
+        self.orders, self.untied = presort(self.columns, rows)
+        self.tied_columns = {int(j): np.ascontiguousarray(self.columns[j])
+                             for j in np.flatnonzero(~self.untied)}
         self.width = width
+        n_rows = self.orders.shape[1]
         self.gaps = np.empty(n_rows, dtype=bool)
         self.cum = np.empty((width + 1) // 2 * n_rows, dtype=np.complex128)
         block = min(n_rows, _BLOCK_ROWS)
@@ -236,16 +230,6 @@ class SweepWorkspace:
         self.left = np.empty(width * block)
         self.right = np.empty(width * block)
         self.total = np.empty((width, 1))
-
-    @property
-    def untied(self) -> np.ndarray:
-        return self._untied
-
-    @untied.setter
-    def untied(self, flags):
-        self._untied = np.asarray(flags, dtype=bool)
-        self.tied_columns = {int(j): np.ascontiguousarray(self.columns[j])
-                             for j in np.flatnonzero(~self._untied)}
 
     def column(self, j: int) -> np.ndarray:
         """Feature ``j``'s values: its contiguous copy if it is tied."""
@@ -312,53 +296,40 @@ def _sweep_feature(ws: SweepWorkspace, j: int, order, crit, min_leaf: int):
     return combined, float(ws.columns[j, order[b]]), b + 1
 
 
-def best_split_generic(ws: SweepWorkspace, rows, orders, config: FitConfig,
-                       crit):
-    """Best strict-improvement split at a node under any node criterion,
-    given the node's ``presort`` orders."""
-    node = crit.node_score(rows)
-    best = None
-    for j, order in enumerate(orders):
-        got = _sweep_feature(ws, j, order, crit, config.min_leaf)
-        if got is None:
-            continue
-        combined, threshold, left_count = got
-        if combined > node and (best is None or combined > best.combined_revenue):
-            best = SplitCandidate(j, threshold, combined,
-                                  left_count, rows.size - left_count)
-    return best
-
-
 def split_node(ws: SweepWorkspace, rows, orders, depth: int,
                config: FitConfig, crit):
     """A grower's step at a node of ``depth`` with ``orders`` =
-    ``presort(ws.columns, rows)``: None if the node stays a leaf, else its
-    best split and the (rows, orders) pairs of its left and right children.
-    The children's orders are column ranges of ``orders``, which is
-    partitioned in place; a child that cannot split gets None for its
-    orders."""
+    ``presort(ws.columns, rows)``: None if the node stays a leaf, else
+    ``(feature, threshold, (left rows, left orders), (right rows, right
+    orders))`` for its best strict-improvement split. The children's orders
+    are column ranges of ``orders``, which is partitioned in place; a child
+    that cannot split gets None for its orders."""
     if not config.can_split(depth, rows.size):
         return None
-    cand = best_split_generic(ws, rows, orders, config, crit)
-    if cand is None:
+    best = (crit.node_score(rows), None, None)  # (score, feature, threshold)
+    for j, order in enumerate(orders):
+        got = _sweep_feature(ws, j, order, crit, config.min_leaf)
+        if got is not None and got[0] > best[0]:  # ties: the lower feature
+            best = (got[0], j, got[1])
+    _, feature, threshold = best
+    if feature is None:
         return None
-    go_left = ws.column(cand.feature_index)[rows] <= cand.threshold
+    go_left = ws.column(feature)[rows] <= threshold
     left, right = rows.compress(go_left), rows.compress(~go_left)
     keep = (config.can_split(depth + 1, left.size),
             config.can_split(depth + 1, right.size))
     left_orders, right_orders = split_orders(orders, left, ws.columns.shape[1],
                                              keep)
-    return cand, (left, left_orders), (right, right_orders)
+    return feature, threshold, (left, left_orders), (right, right_orders)
 
 
 def grow_tree(features, crit, config: FitConfig, feature_names) -> PolicyTree:
     """Greedy top-down growth shared by SPT and the baseline trees; the tree
     carries its criterion's grid, whose prices its leaves take."""
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    n, d = features.shape
+    rows = np.arange(len(features))
+    ws = SweepWorkspace(features, rows, crit.width)
     names = tuple(feature_names) if feature_names is not None \
-        else tuple(f"x{i}" for i in range(d))
-    ws = SweepWorkspace(features, n, crit.width)
+        else tuple(f"x{i}" for i in range(ws.columns.shape[0]))
 
     def visit(state):
         rows, orders, depth = state
@@ -366,13 +337,10 @@ def grow_tree(features, crit, config: FitConfig, feature_names) -> PolicyTree:
         if got is None:
             price, revsum = crit.leaf_payload(crit.node_sums(rows), rows.size)
             return LeafNode(price, revsum, int(rows.size))
-        cand, left, right = got
-        return (cand.feature_index, cand.threshold,
-                (*left, depth + 1), (*right, depth + 1))
+        feature, threshold, left, right = got
+        return feature, threshold, (*left, depth + 1), (*right, depth + 1)
 
-    rows = np.arange(n)
-    orders, ws.untied = presort(ws.columns, rows)
-    nodes = grow_preorder((rows, orders, 0), visit)
+    nodes = grow_preorder((rows, ws.orders, 0), visit)
     return PolicyTree(nodes, 0, names, crit.grid.prices, check_structure(nodes, 0))
 
 
@@ -384,17 +352,6 @@ def leaf_revenue(revmat: RevenueMatrix, rows) -> tuple[int, float]:
     sums = revmat.values[rows].sum(axis=0)
     k = int(np.argmax(sums))
     return k, float(sums[k])
-
-
-def best_split(revmat: RevenueMatrix, features, rows,
-               config: FitConfig) -> SplitCandidate | None:
-    """Public SPT split search; None when no strict improvement exists."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    rows = np.asarray(rows, dtype=np.int64)
-    crit = _RevenueCriterion(revmat)
-    ws = SweepWorkspace(features, rows.size, crit.width)
-    orders, ws.untied = presort(ws.columns, rows)
-    return best_split_generic(ws, rows, orders, config, crit)
 
 
 def fit_spt(features, revmat: RevenueMatrix, config: FitConfig,

@@ -22,10 +22,10 @@ same splits. Sorting reads one feature at a time from a (d x n) view,
 which may be the transpose of the caller's C-order features, so sorting
 copies no features, and it notes which columns have no tie: in such a
 column, and in any node's subset of it, every gap between adjacent sorted
-rows is a value boundary. The policy-tree growers of ``sptlab.spt`` also
-give each fit one ``SweepWorkspace``: that view, those flags, a copy of
-each tied column and the buffers in which every node's sweep over these
-orders gathers and cumulates its statistics, owned by the fit alone.
+rows is a value boundary. Each policy-tree fit of ``sptlab.spt`` makes one
+``SweepWorkspace``, which sorts the fit's rows: that view, those orders and
+flags, a copy of each tied column and the buffers in which every node's
+sweep gathers and cumulates its statistics, owned by the fit alone.
 Routing and partitioning select a child's rows with ``ndarray.compress``,
 which takes the rows a boolean mask takes, in the same order, and faster
 unless nearly every row goes one way.

@@ -52,6 +52,18 @@ def test_synth_bad_spec_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--spec", "9", "--spec: unknown synthetic spec id 9"),
+    ("--n", "0", "--n: n must be >= 1"),
+])
+def test_synth_bad_flag_is_located_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "d.csv"
+    assert run_cli("synth", "--spec", "4", "--n", "10", flag, value,
+                   "--out", str(out)) == 1  # a repeated flag: last wins
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_synth_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -480,6 +492,8 @@ BAD_FIT_FLAGS = [
     ("--teacher", "bogus:1", "--teacher: unknown teacher or truth source 'bogus:1'",
      "ct"),
     ("--teacher", "table:", "--teacher: table needs a path, got 'table:'", "pt"),
+    ("--depth", "-1", "--depth: max_depth must be >= 0 or None"),
+    ("--minsplit", "1", "--minsplit: minsplit must be >= 2 * min_leaf"),
 ]
 
 

@@ -70,6 +70,29 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.outcomes, data.outcomes)
 
 
+@pytest.mark.parametrize("rows", ["5.0,1.0,1\n4.0,2.0,0\n", "5.0,oops,1\n"])
+def test_load_csv_skips_a_byte_order_mark(tmp_path, rows):
+    """A spreadsheet's "CSV UTF-8" begins with a byte-order mark: the file
+    loads as the plain one does, or fails with the plain one's message."""
+    text = "price,x0,sold\n" + rows
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    try:
+        want = load_csv(plain)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_csv(marked)
+        assert str(got.value) == str(exc).replace(str(plain), str(marked))
+        return
+    got = load_csv(marked)
+    assert got.feature_names == want.feature_names == ("x0",)
+    for a, b in ((got.features, want.features), (got.prices, want.prices),
+                 (got.outcomes, want.outcomes)):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_load_csv_reports_first_bad_row_in_file_order(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("x0,price,sold\n1.0,5.0,1\n1.0,5.0,0.5\nnope,5.0,1\n1.0,5.0\n")

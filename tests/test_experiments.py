@@ -122,6 +122,36 @@ def test_no_module_imports_threads():
             assert not roots & {"threading", "concurrent"}, (path.name, names)
 
 
+# Imported but unused: perfbench/layers.py wraps these names in sptlab.cli.
+IMPORTS_KEPT_FOR_PERFBENCH = {("cli.py", "fit_spt"), ("cli.py", "revenue_matrix")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """``__init__`` imports to re-export, so it is left out."""
+    for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        imported, used = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused = {name for name in imported - used
+                  if (path.name, name) not in IMPORTS_KEPT_FOR_PERFBENCH}
+        assert not unused, (path.name, sorted(unused))
+
+
+def test_load_plan_skips_a_byte_order_mark(tmp_path):
+    doc = '{"specs": [4], "minsplits": [50, 500], "reps": 1, "policies": ["spt"]}'
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(doc, encoding="utf-8")
+    marked.write_text(doc, encoding="utf-8-sig")
+    assert load_plan(marked) == load_plan(plain)
+
+
 def test_run_experiment_gbt_and_evaluator_path():
     plan = tiny_plan(teacher="gbt", truth="evaluator", n_train=(300,),
                      policies=("spt", "no_change"), reps=1,

@@ -87,16 +87,17 @@ def test_fit_peak_makes_no_copy_of_the_features(world, method):
 
 
 def test_workspace_copies_only_the_tied_columns():
-    """The workspace reads C-order features in place; setting its ``untied``
-    flags copies each tied column into a contiguous vector, and nothing is
-    copied before."""
+    """The workspace reads C-order features in place, sorts the fit's rows
+    and copies each tied column into a contiguous vector."""
     rng = np.random.default_rng(0)
     X = rng.random((500, 6))
     X[:, [1, 4]] = np.round(X[:, [1, 4]], 1)  # ten levels: tied columns
-    ws = SweepWorkspace(X, X.shape[0], 3)
+    rows = np.arange(X.shape[0])
+    ws = SweepWorkspace(X, rows, 3)
     assert np.shares_memory(ws.columns, X)
-    assert ws.tied_columns == {}
-    _, ws.untied = presort(ws.columns, np.arange(X.shape[0]))
+    orders, untied = presort(ws.columns, rows)
+    np.testing.assert_array_equal(ws.orders, orders)
+    np.testing.assert_array_equal(ws.untied, untied)
     assert list(np.flatnonzero(~ws.untied)) == [1, 4]
     assert sorted(ws.tied_columns) == [1, 4]
     for j, column in ws.tied_columns.items():

@@ -7,6 +7,7 @@ place must give the same trees byte for byte.
 """
 
 import json
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -20,13 +21,13 @@ from sptlab.baselines import (EffectLeaf, EffectTree, OneVsAllPolicy,
                               _PersonalizationCriterion, assign_treatments,
                               export_one_vs_all, fit_ct_one_vs_all,
                               fit_naive_distill, fit_pt)
-from sptlab import baselines, boosting, spt, tree
+from sptlab import boosting, spt, tree
 from sptlab.dataset import Dataset, PriceGrid, percentile_grid
 from sptlab.tree import presort, split_orders
 from sptlab.rng import CounterRng
-from sptlab.spt import (FitConfig, LeafNode, PolicyTree, SplitCandidate,
-                        SplitNode, SweepWorkspace, _RevenueCriterion,
-                        _sweep_feature, export_tree, fit_spt)
+from sptlab.spt import (FitConfig, LeafNode, PolicyTree, SplitNode,
+                        SweepWorkspace, _RevenueCriterion, _sweep_feature,
+                        export_tree, fit_spt)
 from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import RevenueMatrix, probability_matrix, revenue_matrix
 
@@ -86,7 +87,7 @@ def test_split_orders_keeping_neither_child_leaves_the_orders():
 def test_shared_root_orders_are_unchanged_by_a_fit(monkeypatch, fit):
     """CT's structure-half orders serve all m trees and GBT's root orders
     every round: each tree partitions a copy, so they stay as sorted."""
-    module = baselines if fit == "ct" else boosting
+    module = spt if fit == "ct" else boosting  # ct sorts in its SweepWorkspace
     made = []
 
     def spy(columns, rows):
@@ -250,6 +251,12 @@ def _ref_node_score(crit, sums, count):
     return float(_ref_scores(crit, sums[None, :], np.asarray([count]))[0])
 
 
+class _Split(NamedTuple):
+    feature_index: int
+    threshold: float
+    combined_revenue: float
+
+
 def _ref_best_split(features, rows, config, crit):
     stats_rows = _stats(crit)[rows]
     node = _ref_node_score(crit, stats_rows.sum(axis=0), rows.size)
@@ -261,10 +268,9 @@ def _ref_best_split(features, rows, config, crit):
                             lambda s, c: _ref_scores(crit, s, c))
         if got is None:
             continue
-        combined, threshold, left_count = got
+        combined, threshold, _ = got
         if combined > node and (best is None or combined > best.combined_revenue):
-            best = SplitCandidate(j, threshold, combined,
-                                  left_count, rows.size - left_count)
+            best = _Split(j, threshold, combined)
     return best
 
 
@@ -325,8 +331,7 @@ def _check_sweeps(X, crit, rng):
     """Sweeps of every feature at nodes of several sizes in one workspace,
     whose ``untied`` flags, like a grower's, are those of all the rows."""
     n = X.shape[0]
-    ws = SweepWorkspace(X, n, crit.width)  # one for every node below
-    _, ws.untied = presort(X.T, np.arange(n))
+    ws = SweepWorkspace(X, np.arange(n), crit.width)  # one for every node below
     for size in (n, max(1, n // 3), n, max(2, (2 * n) // 3), 1):
         rows = np.sort(rng.choice(n, size=size, replace=False))
         orders, _ = presort(X.T, rows)

@@ -3,7 +3,7 @@ import pytest
 
 from sptlab.dataset import PriceGrid
 from sptlab.spt import (EmptyLeafError, FitConfig, LeafNode, PolicyTree,
-                        SplitNode, best_split, export_tree, fit_spt,
+                        SplitNode, export_tree, fit_spt,
                         leaf_revenue, single_leaf_tree,
                         training_revenue, tree_from_json)
 from sptlab.teacher import RevenueMatrix
@@ -63,40 +63,40 @@ def test_leaf_revenue_empty_rows():
         leaf_revenue(rm, [])
 
 
-# --- best_split -------------------------------------------------------------------
+# --- the split step, through depth-1 fits ----------------------------------------
 
 def test_best_split_single_boundary():
     X = np.asarray([[0.0], [1.0]])
     rm = make_revmat([[5.0, 0.0], [0.0, 6.0]], prices=[6.0, 7.0])
-    cand = best_split(rm, X, [0, 1], FitConfig(max_depth=1))
-    assert cand is not None
-    assert cand.feature_index == 0
-    assert cand.threshold == 0.0
-    assert cand.combined_revenue == 11.0
-    assert (cand.left_count, cand.right_count) == (1, 1)
+    tree = fit_spt(X, rm, FitConfig(max_depth=1))
+    root = tree.nodes[tree.root]
+    assert isinstance(root, SplitNode)
+    assert (root.feature, root.threshold) == (0, 0.0)
+    assert training_revenue(tree) == 11.0
+    assert [tree.nodes[c].n_train for c in (root.left, root.right)] == [1, 1]
 
 
 def test_best_split_identical_features():
     X = np.zeros((4, 2))
     rm = make_revmat(np.random.default_rng(0).uniform(0, 1, (4, 3)),
                      prices=[1.0, 2.0, 3.0])
-    assert best_split(rm, X, np.arange(4), FitConfig(max_depth=3)) is None
+    assert fit_spt(X, rm, FitConfig(max_depth=1)).n_leaves == 1
 
 
 def test_best_split_constant_revenue_no_improvement():
     X = np.asarray([[0.0], [1.0], [2.0]])
     rm = make_revmat(np.full((3, 2), 1.5), prices=[2.0, 3.0])
-    assert best_split(rm, X, np.arange(3), FitConfig(max_depth=3)) is None
+    assert fit_spt(X, rm, FitConfig(max_depth=1)).n_leaves == 1
 
 
 def test_best_split_respects_min_leaf():
     X = np.asarray([[0.0], [1.0], [2.0], [3.0]])
     vals = np.asarray([[9.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     rm = make_revmat(vals, prices=[10.0, 11.0])
-    cand = best_split(rm, X, np.arange(4), FitConfig(max_depth=1, minsplit=4,
-                                                     min_leaf=2))
-    assert cand is not None
-    assert cand.left_count >= 2 and cand.right_count >= 2
+    tree = fit_spt(X, rm, FitConfig(max_depth=1, minsplit=4, min_leaf=2))
+    root = tree.nodes[tree.root]
+    assert isinstance(root, SplitNode)
+    assert [tree.nodes[c].n_train for c in (root.left, root.right)] == [2, 2]
 
 
 # --- fit_spt ---------------------------------------------------------------------
