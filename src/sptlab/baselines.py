@@ -4,6 +4,11 @@ naive distill-then-optimize, constant price, and the historical policy."""
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,24 +294,124 @@ class OneVsAllPolicy:
         return float(np.mean(counts))
 
 
+# A CT fit spreads its trees over forked processes from this many cells
+# (structure rows x features x trees) up. On a shared 2-vCPU host a fork
+# and reap took about 2 ms; two processes fitted spec 2 (d = 20) at 270k
+# cells and depth 1 in 0.85 of the in-process time and at depth 3 or more
+# in 0.6-0.7 of it, and lost 2.5-6.5 ms at 45k-180k cells and depth 1
+# (BENCH_ct_fork.json). A table1_small fit (18k-180k cells) stays in-process.
+_FORK_MIN_CELLS = 250_000
+
+
+def _fork_group(fit, group):
+    """Fork a child that writes ``[fit(item) for item in group]``, pickled,
+    to a pipe and exits: (its pid, the pipe's read end), or None if the
+    fork fails."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn on a fork while any other thread
+            # runs, native ones such as OpenBLAS's idle pool included, since
+            # the child would deadlock on a lock such a thread held. The
+            # child only fits trees with numpy on its own copy of memory and
+            # writes a pipe: it makes no BLAS call, imports nothing and takes
+            # no lock of another thread; malloc and the interpreter reset
+            # their own locks across a fork.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of "
+                r"fork\(\) may lead to deadlocks in the child\.", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no memory or process left: the parent fits the group
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump([fit(item) for item in group], pipe,
+                            pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)  # runs none of the parent's exit handlers or flushes
+    os.close(write)
+    return pid, read
+
+
+def _collect(child):
+    """The results ``child`` (from ``_fork_group``) sent, read to EOF before
+    the child is reaped; None if it was not forked, exited non-zero or sent
+    a pickle that does not load."""
+    if child is None:
+        return None
+    pid, read = child
+    try:
+        with open(read, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    try:
+        return pickle.loads(payload)
+    except (pickle.UnpicklingError, EOFError):
+        return None
+
+
+def _fork_map(fit, items: list, cells: int) -> list:
+    """``[fit(item) for item in items]``, in item order, where the fits
+    take ``cells`` cells in all. On Linux from ``_FORK_MIN_CELLS`` up, the
+    items are cut into one contiguous group per usable CPU, at most one per
+    item: the calling process fits the first group, and a forked child fits
+    each other one and sends its results back pickled. A group whose child
+    fails is fitted in-process, so its errors are raised as without a fork.
+    If the parent raises, it kills and reaps every child first."""
+    processes = 1
+    if sys.platform == "linux" and cells >= _FORK_MIN_CELLS:
+        processes = min(len(items), len(os.sched_getaffinity(0)))
+    cuts = [-(-len(items) * i // processes) for i in range(processes + 1)]
+    groups = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []  # each forked group's child not yet reaped, in group order
+    try:
+        for group in groups[1:]:
+            children.append(_fork_group(fit, group))
+        results = [fit(item) for item in groups[0]]
+        for group in groups[1:]:
+            got = _collect(children.pop(0))
+            results += [fit(item) for item in group] if got is None else got
+        return results
+    finally:
+        for child in filter(None, children):  # left only when the parent raised
+            pid, read = child
+            os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
+
+
 def fit_ct_one_vs_all(data: Dataset, grid: PriceGrid, config: FitConfig,
                       seed: int) -> OneVsAllPolicy:
     """Fit one honest causal tree per grid price, each observed price snapped
     to its nearest grid price; the sample is split once (by seed) into
-    structure and estimation halves shared by all treatments."""
+    structure and estimation halves shared by all treatments. The m trees
+    are independent, so a large fit spreads them over forked processes
+    (``_fork_map``); the trees are the same either way."""
     treatments = assign_treatments(data.prices, grid)
+    counts = np.bincount(treatments, minlength=grid.m)
+    bad = np.flatnonzero((counts < 1) | (counts > data.n - 1))
+    if bad.size:
+        raise DataError(f"treatment {bad[0]} has an empty treated or control group")
     struct_rows, est_rows = half_rows(data.n, seed)
     y = data.outcomes.astype(np.float64)
     ws = SweepWorkspace(data.features, struct_rows, _EffectVarianceCriterion.WIDTH)
     orders = np.empty_like(ws.orders)  # ws serves all m trees; each partitions a copy
-    trees = []
-    for t in range(grid.m):
-        w = (treatments == t).astype(np.float64)
-        if w.sum() < 1 or (data.n - w.sum()) < 1:
-            raise DataError(f"treatment {t} has an empty treated or control group")
+
+    def fit_tree(t):
         np.copyto(orders, ws.orders)
-        trees.append(_fit_effect_tree(ws, y, w, struct_rows, orders, est_rows,
-                                      config))
+        return _fit_effect_tree(ws, y, (treatments == t).astype(np.float64),
+                                struct_rows, orders, est_rows, config)
+
+    trees = _fork_map(fit_tree, list(range(grid.m)), ws.orders.size * grid.m)
     return OneVsAllPolicy(trees, grid)
 
 

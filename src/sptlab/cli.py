@@ -48,41 +48,51 @@ def _parse_gbt_config(text: str) -> GbtConfig:
     return GbtConfig(**kwargs)
 
 
-def _teacher_source(flag: str, source: str, data, grid, seed: int):
-    """Check gbt[:opts] | table:<path> | oracle:<spec_id> and return a function
-    that builds the teacher; a malformed source raises a DataError naming
-    ``flag``. The GBT is fitted, or the table read, only when it is called."""
+def _table_teacher(path, grid, n: int):
+    """The table teacher read from ``path``, which must hold ``n`` rows."""
+    teacher = load_table_teacher(path, grid)
+    if teacher.probs.shape[0] != n:
+        raise DataError(f"{path}: table teacher has {teacher.probs.shape[0]} "
+                        f"rows, data has {n}")
+    return teacher
+
+
+def _teacher_source(flag: str, source: str, seed: int):
+    """Check gbt[:opts] | table:<path> | oracle:<spec_id>, which needs no
+    data, and return ``bind(data, grid)``: it checks the source against the
+    data (an oracle spec's width) and returns a function that builds the
+    teacher. A malformed source raises a DataError naming ``flag``. The GBT
+    is fitted, or the table read, only when that function is called."""
     kind, _, rest = source.partition(":")
     if kind == "gbt":
         with _located(flag):  # DataError, or a GbtConfig invariant
             config = _parse_gbt_config(rest)
-        return lambda: fit_gbt(data, config)
+        return lambda data, grid: lambda: fit_gbt(data, config)
     if kind == "table" and not rest:
         raise DataError(f"{flag}: table needs a path, got {source!r}")
     if kind == "table":
-        def load_table():
-            teacher = load_table_teacher(rest, grid)
-            if teacher.probs.shape[0] != data.n:
-                raise DataError(f"{rest}: table teacher has {teacher.probs.shape[0]} "
-                                f"rows, data has {data.n}")
-            return teacher
-        return load_table
+        return lambda data, grid: lambda: _table_teacher(rest, grid, data.n)
     if kind == "oracle":
         try:
             spec = synth.make_spec(int(rest), seed)
         except ValueError:
             raise DataError(f"{flag}: oracle needs a spec id from "
                             f"{synth.SPEC_IDS}, got {rest!r}") from None
-        if spec.d != data.d:
-            raise DataError(f"{flag}: spec {spec.id} has {spec.d} features, "
-                            f"the data has {data.d}")
-        return lambda: synth.oracle_teacher(spec)
+
+        def bind_oracle(data, grid):
+            if spec.d != data.d:
+                raise DataError(f"{flag}: spec {spec.id} has {spec.d} features, "
+                                f"the data has {data.d}")
+            return lambda: synth.oracle_teacher(spec)
+        return bind_oracle
     raise DataError(f"{flag}: unknown teacher or truth source {source!r}")
 
 
-def _parse_grid(flag: str, data):
+def _parse_grid(flag: str):
+    """The explicit grid of ``flag``, or None for the percentile grid of the
+    data's prices."""
     if flag == "percentile":
-        return percentile_grid(data.prices)
+        return None
     if flag.startswith("explicit:"):
         with _located("--grid"):  # a price that is no number, or a bad ladder
             return explicit_grid([float(v) for v in flag.split(":", 1)[1].split(",")])
@@ -101,14 +111,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data = load_csv(args.data)
-    grid = _parse_grid(args.grid, data)
+    # the flags that need no data are checked before the data is parsed
     with _located("--depth" if args.minsplit is None else "--minsplit"):
         config = FitConfig.for_knob(args.depth, args.minsplit)
+    grid = _parse_grid(args.grid)
+    bind_teacher = _teacher_source("--teacher", args.teacher, args.seed)
+    data = load_csv(args.data)
+    grid = percentile_grid(data.prices) if grid is None else grid
+    make_teacher = bind_teacher(data, grid)
     flags = {"data": args.data, "method": args.method, "grid": args.grid,
              "depth": args.depth, "minsplit": args.minsplit, "seed": args.seed,
              "teacher": args.teacher}
-    make_teacher = _teacher_source("--teacher", args.teacher, data, grid, args.seed)
     probs = (probability_matrix(make_teacher(), data.features, grid)
              if args.method in experiments.TEACHER_POLICIES else None)
     policy = experiments.fit_policy(args.method, data, grid, config, args.seed, probs)
@@ -152,8 +165,8 @@ def cmd_evaluate(args) -> int:
     if names and names != data.feature_names:
         raise DataError(f"{args.tree}: the policy splits on features {','.join(names)}"
                         f"; {args.data} has {','.join(data.feature_names)}")
-    truth = _teacher_source("--truth", args.truth, data,
-                            explicit_grid(doc["price_grid"]), args.seed)()
+    truth = _teacher_source("--truth", args.truth, args.seed)(
+        data, explicit_grid(doc["price_grid"]))()
     value = expected_revenue(policy, data.features, truth)
     print(f"{value:.6f}")
     if args.out:

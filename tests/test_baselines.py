@@ -1,14 +1,19 @@
+import math
+import os
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
+from sptlab import baselines
 from sptlab.baselines import (OneVsAllPolicy, assign_treatments,
                               constant_price_policy, export_one_vs_all,
                               fit_ct_one_vs_all, fit_naive_distill, fit_pt,
                               historical_policy_revenue, naive_training_mse,
                               one_vs_all_from_json, sum_rows_pairwise)
-from sptlab.dataset import DataError, Dataset, PriceGrid, percentile_grid
+from sptlab.dataset import (DataError, Dataset, PriceGrid, half_rows,
+                            percentile_grid)
 from sptlab.spt import FitConfig, LeafNode, leaf_revenue
 from sptlab.synth import generate, make_spec, oracle_teacher
 from sptlab.teacher import (OracleTeacher, RevenueMatrix, fit_gbt, GbtConfig,
@@ -172,6 +177,112 @@ def test_ct_requires_both_groups():
     data = dataset_from([1.0, 1.0, 1.0, 1.0], [1, 0, 1, 0])
     with pytest.raises(DataError):
         fit_ct_one_vs_all(data, grid, FitConfig(max_depth=1), seed=0)
+
+
+# --- one-vs-all causal trees on forked processes --------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks the code under test makes, and after the test
+    checks that no child of this process is left, reaped or not."""
+    made = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_path(monkeypatch, on):
+    monkeypatch.setattr(baselines, "_FORK_MIN_CELLS", 0 if on else math.inf)
+
+
+def _forks_expected(m):
+    """The children a forced-on fit of m trees forks on this machine."""
+    cpus = len(os.sched_getaffinity(0))
+    return min(m, cpus) - 1 if cpus >= 2 else 0
+
+
+def _tied(data):
+    """``data`` with its features rounded to 0.1: tied columns."""
+    return Dataset(np.round(data.features, 1), data.prices, data.outcomes,
+                   data.feature_names)
+
+
+@pytest.mark.parametrize("tie", [False, True], ids=["spec2", "spec2-rounded"])
+def test_ct_fork_path_writes_the_in_process_bytes(monkeypatch, forks, tie):
+    data = generate(make_spec(2), 3000, 4)
+    data = _tied(data) if tie else data
+    grid = percentile_grid(data.prices)
+    texts = []
+    for on in (True, False):
+        _fork_path(monkeypatch, on)
+        texts.append(export_one_vs_all(
+            fit_ct_one_vs_all(data, grid, FitConfig(max_depth=4), 5)))
+    assert texts[0] == texts[1]
+    assert len(forks) == _forks_expected(grid.m)
+
+
+def test_ct_child_pickle_that_does_not_load_is_refitted(monkeypatch, forks):
+    data = generate(make_spec(4), 1000, 1)
+    grid = percentile_grid(data.prices)
+    _fork_path(monkeypatch, False)
+    want = export_one_vs_all(fit_ct_one_vs_all(data, grid, FitConfig(max_depth=3), 2))
+    _fork_path(monkeypatch, True)
+    monkeypatch.setattr(pickle, "dump", lambda obj, f, *a: f.write(b"not a pickle"))
+    got = export_one_vs_all(fit_ct_one_vs_all(data, grid, FitConfig(max_depth=3), 2))
+    assert got == want
+    assert len(forks) == _forks_expected(grid.m)
+
+
+def _estimation_half_lacks(treatment, n=200, seed=0):
+    """Data on a 4-price grid whose ``treatment`` is observed on three
+    structure-half rows only, so its tree finds no estimation-half treated
+    row; the other treatments are drawn at random."""
+    rng = np.random.default_rng(seed)
+    grid = PriceGrid(np.asarray([1.0, 2.0, 3.0, 4.0]))
+    others = np.delete(grid.prices, treatment)
+    prices = others[rng.integers(0, 3, n)]
+    prices[half_rows(n, seed)[0][:3]] = grid.prices[treatment]
+    y = (rng.uniform(size=n) < 0.5).astype(int)
+    return Dataset(rng.normal(size=(n, 2)), prices, y, ("a", "b")), grid
+
+
+@pytest.mark.parametrize("treatment", [0, 3], ids=["parent", "child"])
+def test_ct_tree_that_raises_raises_as_in_process(monkeypatch, forks, treatment):
+    """Tree 0 is the parent's, tree 3 a child's: the parent raises with its
+    child still running, or the child fails and its trees are refitted."""
+    data, grid = _estimation_half_lacks(treatment)
+    messages = []
+    for on in (False, True):
+        _fork_path(monkeypatch, on)
+        with pytest.raises(DataError) as info:
+            fit_ct_one_vs_all(data, grid, FitConfig(max_depth=2), 0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "estimation half" in messages[0]
+    assert len(forks) == _forks_expected(grid.m)
+
+
+def test_ct_empty_group_names_the_first_bad_treatment_before_any_fork(
+        monkeypatch, forks):
+    grid = PriceGrid(np.asarray([1.0, 2.0, 3.0, 4.0]))
+    data = dataset_from([1.0, 3.0, 1.0, 3.0], [1, 0, 1, 0])  # no 2.0 or 4.0
+    _fork_path(monkeypatch, True)
+    with pytest.raises(DataError, match="^treatment 1 has an empty treated or "
+                                        "control group$"):
+        fit_ct_one_vs_all(data, grid, FitConfig(max_depth=1), 0)
+    every = dataset_from([2.0] * 4, [1, 0, 1, 0])  # 0 has no treated, 1 no control
+    with pytest.raises(DataError, match="^treatment 0 has"):
+        fit_ct_one_vs_all(every, grid, FitConfig(max_depth=1), 0)
+    assert forks == []
 
 
 def test_ct_export_round_trip():

@@ -512,6 +512,47 @@ def test_fit_bad_teacher_or_grid_is_located_error(tmp_path, capsys, flag, value,
     assert not (tmp_path / "t.json").exists()
 
 
+# the flags sptlab fit checks before it reads --data
+FLAGS_CHECKED_BEFORE_THE_DATA = [
+    ("--depth", "-1", "--depth: max_depth must be >= 0 or None"),
+    ("--minsplit", "1", "--minsplit: minsplit must be >= 2 * min_leaf"),
+    ("--grid", "explicit:1,a", "--grid: could not convert string to float: 'a'"),
+    ("--grid", "ladder", "--grid: unknown grid mode 'ladder'"),
+    ("--teacher", "oracle:x", "--teacher: oracle needs a spec id from "
+                              "(1, 2, 3, 4, 5, 6), got 'x'"),
+    ("--teacher", "bogus:1", "--teacher: unknown teacher or truth source 'bogus:1'"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", FLAGS_CHECKED_BEFORE_THE_DATA,
+                         ids=["-".join(row[:2]) for row in FLAGS_CHECKED_BEFORE_THE_DATA])
+def test_fit_bad_flag_is_named_before_a_missing_data_file(tmp_path, capsys, flag,
+                                                          value, message):
+    assert run_cli("fit", "--data", str(tmp_path / "missing.csv"), "--method", "spt",
+                   flag, value, "--out", str(tmp_path / "t.json")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("large") / "train.csv"
+    assert run_cli("synth", "--spec", "4", "--n", "50000", "--out", str(path)) == 0
+    return path
+
+
+@pytest.mark.parametrize("flag, value, message", FLAGS_CHECKED_BEFORE_THE_DATA,
+                         ids=["-".join(row[:2]) for row in FLAGS_CHECKED_BEFORE_THE_DATA])
+def test_fit_bad_flag_exits_without_parsing_the_data(tmp_path, capsys, monkeypatch,
+                                                     large_csv, flag, value, message):
+    loads = []
+    monkeypatch.setattr("sptlab.cli.load_csv",
+                        lambda *args: loads.append(args) or load_csv(*args))
+    assert run_cli("fit", "--data", str(large_csv), "--method", "spt",
+                   flag, value, "--out", str(tmp_path / "t.json")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert loads == []
+
+
 @pytest.mark.parametrize("method", ["pt", "ct"])
 def test_fit_sales_policy_neither_fits_nor_reads_the_teacher(tmp_path, monkeypatch,
                                                             method):
