@@ -159,14 +159,15 @@ def _load_policy(path):
 
 
 def cmd_evaluate(args) -> int:
+    # --truth needs no data, so it is checked before the policy and data are read
+    bind_truth = _teacher_source("--truth", args.truth, args.seed)
     policy, doc = _load_policy(args.tree)
     data = load_csv(args.data)
     names = getattr(policy, "feature_names", ())  # one-vs-all files carry none
     if names and names != data.feature_names:
         raise DataError(f"{args.tree}: the policy splits on features {','.join(names)}"
                         f"; {args.data} has {','.join(data.feature_names)}")
-    truth = _teacher_source("--truth", args.truth, args.seed)(
-        data, explicit_grid(doc["price_grid"]))()
+    truth = bind_truth(data, explicit_grid(doc["price_grid"]))()
     value = expected_revenue(policy, data.features, truth)
     print(f"{value:.6f}")
     if args.out:

@@ -106,10 +106,6 @@ class PolicyTree:
         """Leaf node id reached by each row of X."""
         return apply(self.nodes, self.root, X)
 
-    def validate(self) -> int:
-        """The tree's depth; a DataError if it is not a proper binary tree."""
-        return check_structure(self.nodes, self.root)
-
 
 # Boundaries scored, and rows summed by ``StatsCriterion.node_sums``, per
 # block. Blocks of 4096 keep ``ws.left`` and ``ws.right`` at width * 4096

@@ -2,26 +2,29 @@
 with measured values and asserting its stated tolerance and runtime budget."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import conftest
-from sptlab.baselines import (fit_ct_one_vs_all, fit_naive_distill, fit_pt,
-                              naive_training_mse)
+from sptlab.baselines import fit_naive_distill, naive_training_mse
 from sptlab.dataset import PriceGrid, percentile_grid
 from sptlab.evaluation import expected_revenue, verify_regret_bound
-from sptlab.experiments import load_plan, run_experiment
-from sptlab.rng import derive_seed
+from sptlab.experiments import (ExperimentPlan, load_plan, prepare_cell_inputs,
+                                run_cell, run_experiment)
 from sptlab.spt import (FitConfig, fit_spt, single_leaf_tree,
                         training_revenue)
-from sptlab.synth import (SPEC_IDS, OraclePolicy, baseline_utility,
-                          fine_price_grid, generate, make_spec, oracle_teacher,
-                          price_sensitivity, standard_normal_cdf)
+from sptlab.synth import (SPEC_IDS, baseline_utility, fine_price_grid, generate,
+                          make_spec, price_sensitivity, standard_normal_cdf)
 from sptlab.teacher import (OracleTeacher, fit_gbt, probability_matrix,
                             revenue_matrix)
 
 SEEDS = tuple(range(10))
+MINSPLITS = (50, 150, 500, 1500)
+# Table 1's sweep: GBT teacher, oracle truth, n = 5000 training and test rows.
+TABLE1 = ExperimentPlan(specs=(2, 4, 6), depths=(1, 2, 3, 4, 5), reps=len(SEEDS),
+                        policies=("spt", "pt", "ct"), n_test=5000)
 
 
 def report(num, ok, detail):
@@ -33,29 +36,24 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def spec4_runs():
-    """Per-seed artifacts for spec 4 shared by criteria 3, 4 and 9."""
-    runs = {}
-    for seed in SEEDS:
-        spec = make_spec(4, seed)
-        data = generate(spec, 5000, seed)
-        grid = percentile_grid(data.prices)
-        probs = probability_matrix(fit_gbt(data), data.features, grid)
-        runs[seed] = {
-            "spec": spec, "data": data, "grid": grid, "probs": probs,
-            "revmat": revenue_matrix(probs, grid),
-            "test": generate(spec, 5000, derive_seed(seed, 1)),
-            "truth": oracle_teacher(spec),
-        }
-    return runs
+    """Each seed's spec-4 cell inputs (data, GBT teacher, probabilities),
+    shared by criteria 3, 4 and 9."""
+    return {seed: prepare_cell_inputs(TABLE1, 4, 5000, seed) for seed in SEEDS}
 
 
-def _spt_depth3_mean(spec4_runs):
-    revs = []
-    for seed in SEEDS:
-        r = spec4_runs[seed]
-        tree = fit_spt(r["data"].features, r["revmat"], FitConfig(max_depth=3))
-        revs.append(expected_revenue(tree, r["test"].features, r["truth"]))
-    return float(np.mean(revs))
+def spec4_rows(spec4_runs, plan):
+    """``run_cell`` rows of ``plan`` on spec 4, seed by seed, knob by knob."""
+    return [row for seed in SEEDS for knob in plan.knobs
+            for row in run_cell(plan, 4, 5000, seed, *knob, inputs=spec4_runs[seed])]
+
+
+def group_means(rows, key, field="mean_revenue"):
+    """Mean ``field`` of each ``key(row)`` group, its rows taken seed by
+    seed, then knob by knob: ``np.mean``'s last bits depend on that order."""
+    groups = {}
+    for r in sorted(rows, key=lambda r: (r["seed"], r["depth"], r["minsplit"])):
+        groups.setdefault(key(r), []).append(r[field])
+    return {k: float(np.mean(v)) for k, v in groups.items()}
 
 
 def test_criterion_1_toy_exactness(toy_teacher, toy_features, toy_revmat):
@@ -84,19 +82,10 @@ def test_criterion_1_toy_exactness(toy_teacher, toy_features, toy_revmat):
 
 def test_criterion_2_table1_optimal_column():
     t0 = time.time()
-    means = {}
-    for spec_id in (1, 4):
-        revs = []
-        for seed in SEEDS:
-            spec = make_spec(spec_id, seed)
-            train = generate(spec, 5000, seed)
-            grid = percentile_grid(train.prices)
-            fine = fine_price_grid(float(grid.prices[0]),
-                                   float(grid.prices[-1]), 1000)
-            test = generate(spec, 5000, derive_seed(seed, 1))
-            revs.append(expected_revenue(OraclePolicy(spec, fine),
-                                         test.features, oracle_teacher(spec)))
-        means[spec_id] = float(np.mean(revs))
+    rows = run_experiment(ExperimentPlan(specs=(1, 4), reps=len(SEEDS),
+                                         policies=("optimal",), teacher="oracle",
+                                         n_test=5000))
+    means = group_means(rows, lambda r: r["spec"])
     elapsed = time.time() - t0
     ok = (abs(means[1] - 3.28) <= 0.10 and abs(means[4] - 3.49) <= 0.10
           and elapsed < 60)
@@ -106,39 +95,15 @@ def test_criterion_2_table1_optimal_column():
 
 def test_criterion_3_table1_ordering(spec4_runs):
     t0 = time.time()
-    means = {}
-    for spec_id in (2, 4, 6):
-        acc = {"spt": [], "pt": [], "ct": []}
-        for seed in SEEDS:
-            if spec_id == 4:
-                r = spec4_runs[seed]
-                spec, data, grid = r["spec"], r["data"], r["grid"]
-                revmat = r["revmat"]
-                test, truth = r["test"], r["truth"]
-            else:
-                spec = make_spec(spec_id, seed)
-                data = generate(spec, 5000, seed)
-                grid = percentile_grid(data.prices)
-                revmat = revenue_matrix(
-                    probability_matrix(fit_gbt(data), data.features, grid), grid)
-                test = generate(spec, 5000, derive_seed(seed, 1))
-                truth = oracle_teacher(spec)
-            for depth in (1, 2, 3, 4, 5):
-                cfg = FitConfig(max_depth=depth)
-                acc["spt"].append(expected_revenue(
-                    fit_spt(data.features, revmat, cfg), test.features, truth))
-                acc["pt"].append(expected_revenue(
-                    fit_pt(data, grid, cfg), test.features, truth))
-                acc["ct"].append(expected_revenue(
-                    fit_ct_one_vs_all(data, grid, cfg, derive_seed(seed, 2)),
-                    test.features, truth))
-        means[spec_id] = {k: float(np.mean(v)) for k, v in acc.items()}
+    rows = (run_experiment(replace(TABLE1, specs=(2, 6)))
+            + spec4_rows(spec4_runs, TABLE1))
+    means = group_means(rows, lambda r: (r["spec"], r["policy"]))
     elapsed = time.time() - t0
-    ok = all(means[s]["spt"] > means[s]["pt"] and means[s]["spt"] > means[s]["ct"]
-             for s in (2, 4, 6)) and elapsed < 600
+    ok = all(means[s, "spt"] > means[s, "pt"] and means[s, "spt"] > means[s, "ct"]
+             for s in TABLE1.specs) and elapsed < 600
     detail = "; ".join(
-        f"spec{s}: SPT {means[s]['spt']:.3f} vs PT {means[s]['pt']:.3f} / "
-        f"CT {means[s]['ct']:.3f}" for s in (2, 4, 6))
+        f"spec{s}: SPT {means[s, 'spt']:.3f} vs PT {means[s, 'pt']:.3f} / "
+        f"CT {means[s, 'ct']:.3f}" for s in TABLE1.specs)
     report(3, ok, detail + f" [{elapsed:.0f}s]")
 
 
@@ -148,16 +113,10 @@ def test_criterion_4_naive_gap(spec4_runs):
     # criterion itself on this world, so the expected 0.3 revenue gap to the
     # depth-3 SPT (anchored at naive <= 2.80 vs SPT ~= 3.36) never opens up.
     t0 = time.time()
-    spt3 = _spt_depth3_mean(spec4_runs)
-    naive_by_depth = {}
-    for depth in (1, 2, 3, 4, 5):
-        revs = []
-        for seed in SEEDS:
-            r = spec4_runs[seed]
-            tree = fit_naive_distill(r["data"].features, r["probs"], r["grid"],
-                                     FitConfig(max_depth=depth))
-            revs.append(expected_revenue(tree, r["test"].features, r["truth"]))
-        naive_by_depth[depth] = float(np.mean(revs))
+    spt3 = group_means(spec4_rows(spec4_runs, replace(
+        TABLE1, depths=(3,), policies=("spt",))), lambda r: r["depth"])[3]
+    naive_by_depth = group_means(spec4_rows(spec4_runs, replace(
+        TABLE1, policies=("naive",))), lambda r: r["depth"])
     worst = max(naive_by_depth.values())
     elapsed = time.time() - t0
     ok = worst <= spt3 - 0.3 and elapsed < 300
@@ -298,20 +257,12 @@ def test_criterion_8_generator_calibration():
 def test_criterion_9_table2_shape(spec4_runs):
     t0 = time.time()
     reference_leaves = {50: 120.4, 150: 64.0, 500: 24.6, 1500: 5.4}
-    mean_leaves = {}
-    mean_rev = {}
-    for ms in (50, 150, 500, 1500):
-        cfg = FitConfig(max_depth=None, minsplit=ms, min_leaf=max(1, ms // 3))
-        leaves, revs = [], []
-        for seed in SEEDS:
-            r = spec4_runs[seed]
-            tree = fit_spt(r["data"].features, r["revmat"], cfg)
-            leaves.append(tree.n_leaves)
-            revs.append(expected_revenue(tree, r["test"].features, r["truth"]))
-        mean_leaves[ms] = float(np.mean(leaves))
-        mean_rev[ms] = float(np.mean(revs))
+    rows = spec4_rows(spec4_runs, replace(TABLE1, depths=None, minsplits=MINSPLITS,
+                                          policies=("spt",)))
+    mean_leaves = group_means(rows, lambda r: r["minsplit"], "n_leaves")
+    mean_rev = group_means(rows, lambda r: r["minsplit"])
     elapsed = time.time() - t0
-    counts = [mean_leaves[ms] for ms in (50, 150, 500, 1500)]
+    counts = [mean_leaves[ms] for ms in MINSPLITS]
     ok = (all(a > b for a, b in zip(counts, counts[1:]))
           and all(reference_leaves[ms] / 2 <= mean_leaves[ms] <= reference_leaves[ms] * 2
                   for ms in reference_leaves)
@@ -319,7 +270,7 @@ def test_criterion_9_table2_shape(spec4_runs):
           and elapsed < 300)
     detail = "; ".join(f"ms={ms}: leaves {mean_leaves[ms]:.1f} "
                        f"(ref {reference_leaves[ms]}), rev {mean_rev[ms]:.3f}"
-                       for ms in (50, 150, 500, 1500))
+                       for ms in MINSPLITS)
     report(9, ok, detail + f" [{elapsed:.0f}s]")
 
 

@@ -589,10 +589,21 @@ def test_evaluate_on_data_with_other_features_is_located_error(tmp_path, capsys)
     assert "Traceback" not in captured.err
 
 
-def test_evaluate_bad_truth_is_located_error(tmp_path, capsys):
+def test_evaluate_bad_truth_is_located_error(tmp_path, capsys, monkeypatch):
+    """--truth needs no data, so it is checked before the policy or the data
+    is read: the data is never parsed, and a missing file is not named."""
     data, tree, _ = write_toy_files(tmp_path)
-    assert run_cli("evaluate", "--tree", str(tree), "--data", str(data),
-                   "--truth", "oracle:x") == 1
+    loads = []
+    monkeypatch.setattr("sptlab.cli.load_csv",
+                        lambda *args: loads.append(args) or load_csv(*args))
+    for truth, message in [("oracle:x", "oracle needs a spec id"),
+                           ("table:", "table needs a path")]:
+        assert run_cli("evaluate", "--tree", str(tree), "--data", str(data),
+                       "--truth", truth) == 1
+        assert capsys.readouterr().err.startswith(f"error: --truth: {message}")
+    assert loads == []
+    assert run_cli("evaluate", "--tree", str(tmp_path / "missing.json"),
+                   "--data", str(tmp_path / "missing.csv"), "--truth", "oracle:x") == 1
     assert capsys.readouterr().err.startswith("error: --truth: oracle needs a spec id")
 
 

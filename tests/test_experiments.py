@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from sptlab import experiments, synth
+from sptlab.baselines import fit_ct_one_vs_all, fit_naive_distill, fit_pt
 from sptlab.dataset import DataError, PriceGrid, percentile_grid
+from sptlab.evaluation import expected_revenue
 from sptlab.experiments import (ExperimentPlan, PlanError,
                                 aggregate, load_plan, plan_from_dict,
                                 prepare_cell_inputs, read_results_csv, run_cell,
                                 run_experiment, write_results_csv)
-from sptlab.spt import FitConfig
-from sptlab.teacher import GbtConfig, probability_matrix
+from sptlab.rng import derive_seed
+from sptlab.spt import FitConfig, fit_spt
+from sptlab.teacher import GbtConfig, fit_gbt, probability_matrix, revenue_matrix
 
 FAST_GBT = {"rounds": 5, "min_child_samples": 5}
 
@@ -238,6 +241,41 @@ def test_sweep_calls_run_cell_once_per_cell(monkeypatch):
     assert sorted(a[1:] for a in seen) == [(1, 400, seed, depth, None)
                                           for seed in (0, 1) for depth in (1, 2)]
     assert all(a[0] is plan for a in seen)
+
+
+def test_sweep_rows_equal_the_direct_chain():
+    """Each cell, spelled out: training rows at the seed, test rows at salt 1,
+    the percentile grid, the default GBT teacher, CT's halves at salt 2 and
+    the expected revenue under the oracle truth."""
+    plan = ExperimentPlan(specs=(4,), n_train=(600,), depths=(1, 3), reps=2,
+                          policies=("spt", "pt", "ct", "naive", "optimal"),
+                          n_test=600)
+    want = []
+    for seed in plan.seeds:
+        spec = synth.make_spec(4, seed)
+        train = synth.generate(spec, 600, seed)
+        test = synth.generate(spec, 600, derive_seed(seed, 1))
+        grid = percentile_grid(train.prices)
+        probs = probability_matrix(fit_gbt(train), train.features, grid)
+        fine = synth.fine_price_grid(float(grid.prices[0]), float(grid.prices[-1]),
+                                     1000)
+        for depth in plan.depths:
+            cfg = FitConfig(max_depth=depth)
+            fitted = {
+                "spt": fit_spt(train.features, revenue_matrix(probs, grid), cfg),
+                "pt": fit_pt(train, grid, cfg),
+                "ct": fit_ct_one_vs_all(train, grid, cfg, derive_seed(seed, 2)),
+                "naive": fit_naive_distill(train.features, probs, grid, cfg),
+                "optimal": synth.OraclePolicy(spec, fine),
+            }
+            for name, policy in fitted.items():
+                revenue = expected_revenue(policy, test.features,
+                                           synth.oracle_teacher(spec))
+                leaves = 0.0 if name == "optimal" else round(float(policy.n_leaves), 3)
+                want.append((name, depth, seed, revenue, leaves))
+    got = [(r["policy"], r["depth"], r["seed"], r["mean_revenue"], r["n_leaves"])
+           for r in run_experiment(plan)]
+    assert got == sorted(want)
 
 
 def test_aggregate_orders_n_train_numerically():
