@@ -7,6 +7,7 @@ from sptlab.spt import (EmptyLeafError, FitConfig, LeafNode, PolicyTree,
                         leaf_revenue, single_leaf_tree,
                         training_revenue, tree_from_json)
 from sptlab.teacher import RevenueMatrix
+from sptlab.tree import check_structure
 
 
 def make_revmat(values, prices=None):
@@ -382,3 +383,10 @@ def test_dot_escapes_quotes_and_backslashes_in_feature_names():
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         export_tree(single_leaf_tree(1.0), "xml")
+
+
+def test_validate_rejects_broken_trees():
+    nodes = [SplitNode(0, 0.0, 1, 1), LeafNode(1.0, 0.0, 1)]
+    tree = PolicyTree(nodes, 0, ("x0",), np.asarray([1.0]), 1)
+    with pytest.raises(ValueError):  # both children are one node
+        check_structure(tree.nodes, tree.root)

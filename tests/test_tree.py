@@ -195,8 +195,6 @@ def test_check_structure_returns_depth():
     assert check_structure([LeafNode(1.0, 0.0, 1)], 0) == 0
     with pytest.raises(DataError):
         check_structure([SplitNode(0, 0.0, 0, 1), LeafNode(1.0, 0.0, 1)], 0)
-    with pytest.raises(DataError):  # both children are one node
-        check_structure([SplitNode(0, 0.0, 1, 1), LeafNode(1.0, 0.0, 1)], 0)
 
 
 def test_empty_leaf_raises_only_when_reached():
